@@ -83,7 +83,8 @@ def _jsonable(obj):
     return obj
 
 
-def _emit_report(config: RunConfig, payload: dict, started: float) -> str:
+def _emit_report(config: RunConfig, started: float, **body) -> str:
+    """The JSON report; ``body`` is ``report=payload`` or ``error=details``."""
     report = {
         "tool": "hartogs",
         "version": __version__,
@@ -91,7 +92,7 @@ def _emit_report(config: RunConfig, payload: dict, started: float) -> str:
         "config": _jsonable(asdict(config)),
         "seed": config.seed,
         "wall_time_s": round(time.perf_counter() - started, 6),
-        "report": _jsonable(payload),
+        **_jsonable(body),
     }
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
@@ -375,16 +376,8 @@ def main(argv=None) -> int:
     try:
         profile = parse_profile(config.expression, config.b, config.n)
     except ExpressionSyntaxError as exc:
-        report = {
-            "tool": "hartogs",
-            "version": __version__,
-            "command": config.command,
-            "config": _jsonable(asdict(config)),
-            "seed": config.seed,
-            "wall_time_s": round(time.perf_counter() - started, 6),
-            "error": {"message": str(exc), "position": exc.position},
-        }
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        error = {"message": str(exc), "position": exc.position}
+        sys.stdout.write(_emit_report(config, started, error=error))
         return EXIT_INPUT
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
@@ -395,7 +388,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     try:
-        _write_output(config, _emit_report(config, payload, started), csv_rows, csv_header)
+        _write_output(config, _emit_report(config, started, report=payload), csv_rows, csv_header)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT

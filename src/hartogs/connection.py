@@ -49,8 +49,13 @@ class ChristoffelSlice:
     G222: float
 
 
-def _christoffel_closed_terms(profile: Profile, u: float, v: float) -> ChristoffelSlice:
-    t = u * u
+def _christoffel_closed_terms(profile: Profile, t: float, u: float, v: float):
+    """(det, G111, G211, G112, G212, G222) at (u, v) with t = u^2.
+
+    Total: a degenerate point gives det = 0 and nan symbols instead of an
+    exception, so the geodesic right-hand side can probe trial steps just
+    past the boundary (rejected by step control).
+    """
     f = profile.f(t)
     f1 = profile.f1(t)
     f2 = profile.f2(t)
@@ -58,12 +63,9 @@ def _christoffel_closed_terms(profile: Profile, u: float, v: float) -> Christoff
     w = f - v * v
     c = f1 * f1 * t - (f1 + f2 * t) * w
     w4 = w * w * w * w
-    det = 4.0 * (c * f - f1 * f1 * t * v * v) / w4
-    if det <= DEGENERATE_DET_TOL:
-        raise DegenerateMetricError(f"metric degenerate at (u, v)=({u}, {v}), det={det}")
-    # (v^2 - f)^4 is even, (v^2 - f)^3 carries the sign flip relative to w^3.
-    vf3 = -(w * w * w)
-    dw4 = det * w4
+    dw4 = 4.0 * (c * f - f1 * f1 * t * v * v)  # det * w^4
+    if dw4 == 0.0 or w4 == 0.0:
+        return (0.0,) + (math.nan,) * 5
     # The first bracket term carries a factor f1; dropping it breaks the
     # cross-validation against christoffel_generic.
     g111 = (-4.0 * u / dw4) * (
@@ -71,18 +73,24 @@ def _christoffel_closed_terms(profile: Profile, u: float, v: float) -> Christoff
         - f * (v * v - f) * (2.0 * f2 + t * f3)
         - f * f1 * (2.0 * f1 + 3.0 * t * f2)
     )
-    g211 = (4.0 * t * v / (det * vf3)) * (-t * f2 * f2 + f1 * (f2 + t * f3))
+    # det * (v^2 - f)^3 = -dw4 / w
+    g211 = (-4.0 * t * v * w / dw4) * (-t * f2 * f2 + f1 * (f2 + t * f3))
     core = -t * f1 * f1 + f * (f1 + t * f2)
     g112 = (-4.0 * v / dw4) * core
     g212 = (4.0 * u * f1 / dw4) * core
     g222 = (-8.0 * v / dw4) * core
-    return ChristoffelSlice(g111, g211, g112, g212, 0.0, g222)
+    return dw4 / w4, g111, g211, g112, g212, g222
 
 
 def christoffel_closed(profile: Profile, sp: SlicePoint) -> ChristoffelSlice:
     """Closed-form Christoffel symbols of the slice metric at (u, v)."""
     require_inside_slice(profile, sp)
-    return _christoffel_closed_terms(profile, sp.u, sp.v)
+    det, g111, g211, g112, g212, g222 = _christoffel_closed_terms(
+        profile, sp.u * sp.u, sp.u, sp.v
+    )
+    if det <= DEGENERATE_DET_TOL:
+        raise DegenerateMetricError(f"metric degenerate at (u, v)=({sp.u}, {sp.v}), det={det}")
+    return ChristoffelSlice(g111, g211, g112, g212, 0.0, g222)
 
 
 def christoffel_generic(profile: Profile, sp: SlicePoint) -> ChristoffelSlice:
@@ -179,31 +187,11 @@ def integrate_geodesic(
             return t_cap  # trial steps may probe past the bound; keep f evaluable
         return t
 
-    # Inlined symbols rather than christoffel_closed: the right-hand side
-    # must stay total on trial steps slightly past the boundary (rejected
-    # by step control), so it cannot raise on a degenerate determinant.
     def rhs(_s, y):
         u, v, du, dv = y
-        t = clamped_t(u)
-        f = profile.f(t)
-        f1 = profile.f1(t)
-        f2 = profile.f2(t)
-        f3 = profile.f3(t)
-        w = f - v * v
-        c = f1 * f1 * t - (f1 + f2 * t) * w
-        w4 = w * w * w * w
-        det = 4.0 * (c * f - f1 * f1 * t * v * v) / w4
-        dw4 = det * w4
-        g111 = (-4.0 * u / dw4) * (
-            t * f1 * (2.0 * f1 * f1 + v * v * f2)
-            - f * (v * v - f) * (2.0 * f2 + t * f3)
-            - f * f1 * (2.0 * f1 + 3.0 * t * f2)
+        _det, g111, g211, g112, g212, g222 = _christoffel_closed_terms(
+            profile, clamped_t(u), u, v
         )
-        g211 = (4.0 * t * v / (-det * w * w * w)) * (-t * f2 * f2 + f1 * (f2 + t * f3))
-        core = -t * f1 * f1 + f * (f1 + t * f2)
-        g112 = (-4.0 * v / dw4) * core
-        g212 = (4.0 * u * f1 / dw4) * core
-        g222 = (-8.0 * v / dw4) * core
         ddu = -(g111 * du * du + 2.0 * g112 * du * dv)
         ddv = -(g211 * du * du + 2.0 * g212 * du * dv + g222 * dv * dv)
         return (du, dv, ddu, ddv)

@@ -3,28 +3,19 @@
 The Gaussian curvature of the slice is evaluated with the Brioschi formula
 on the analytic metric jet; for every valid profile it comes out -1/2 to
 near machine precision.  The base surface {z = 0} carries the conformal
-metric with density 2*(-kcond), whose curvature classifies the profile
-families: flat base <-> c*exp(-k t), constant K0 != 0 <-> (c1 + c2 t)^(-2/K0),
-and the vanishing of the straight-line residual singles out the linear
-profiles of the complex-hyperbolic case.
+metric with density -2*kcond.  Its curvature, (mu' + x*mu'')/kcond with
+mu = log(-kcond), needs only kcond and its first two derivatives, and it
+classifies the profile families: flat base <-> c*exp(-k t), constant
+K0 != 0 <-> (c1 + c2 t)^(-2/K0), and the vanishing of the straight-line
+residual singles out the linear profiles of the complex-hyperbolic case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from weakref import WeakKeyDictionary
 
 from .connection import residual_ode
-from .expressions import (
-    ExpressionEvalError,
-    Log,
-    Mul,
-    Num,
-    compile_expression,
-    differentiate,
-    simplify,
-)
 from .metric import SlicePoint, slice_metric_jet
 from .profile import Profile, chebyshev_grid, kcond
 
@@ -40,8 +31,6 @@ CONSTANCY_TOL = 1e-8
 FIT_TOL = 1e-6
 # Straight-line residual below this (relative to its term sizes) is zero.
 RESIDUAL_TOL = 1e-9
-
-_BASE_CURVATURE_CACHE: "WeakKeyDictionary[Profile, tuple]" = WeakKeyDictionary()
 
 
 def _det3(m) -> float:
@@ -77,55 +66,21 @@ def gauss_curvature_slice(profile: Profile, sp: SlicePoint) -> float:
     return brioschi_curvature(slice_metric_jet(profile, sp))
 
 
-def _base_curvature_fns(profile: Profile):
-    try:
-        return _BASE_CURVATURE_CACHE[profile]
-    except KeyError:
-        pass
-    lam_ast = simplify(Mul(Num(-2.0), profile.kcond_ast))
-    mu1_ast = simplify(differentiate(Log(lam_ast)))
-    mu2_ast = simplify(differentiate(mu1_ast))
-    fns = (
-        compile_expression(lam_ast),
-        compile_expression(mu1_ast),
-        compile_expression(mu2_ast),
-    )
-    _BASE_CURVATURE_CACHE[profile] = fns
-    return fns
-
-
 def gauss_curvature_base(profile: Profile, x: float) -> float:
     """Gaussian curvature of the base surface {z = 0} at radius-x points.
 
-    The base metric is conformal with density lam(x) = -2*kcond(x) in the
-    z0-plane; for a rotation-invariant density the curvature reduces to
-    -2*(mu' + x*mu'')/lam with mu = log(lam).
+    The base metric is conformal with density lam(x) = -2*k(x) in the
+    z0-plane, k = kcond.  For a rotation-invariant density the curvature
+    is -2*(mu' + x*mu'')/lam with mu = log(lam); in terms of k, with
+    mu' = k'/k and mu'' = k''/k - mu'^2, that is (mu' + x*mu'')/k.
     """
-    if not 0.0 <= x < profile.b:
-        raise ValueError(f"x={x} outside the profile range [0, {profile.b})")
-    lam_fn, mu1_fn, mu2_fn = _base_curvature_fns(profile)
-    lam = lam_fn(x)
-    if lam <= 0.0:
-        raise ArithmeticError(f"base metric degenerate at x={x} (density {lam})")
-    return -2.0 * (mu1_fn(x) + x * mu2_fn(x)) / lam
-
-
-def _shrink_to_evaluable(fns, upper: float, floor: float = 1e-6) -> float:
-    """Halve the grid cap until every function evaluates finitely there.
-
-    Stacked quotient-rule denominators (f^8 for exponential profiles)
-    underflow long before f itself does; grids must stay inside the
-    evaluable range.
-    """
-    t = upper
-    while t > floor:
-        try:
-            if all(math.isfinite(fn(t)) for fn in fns):
-                return t
-        except (ExpressionEvalError, ArithmeticError):
-            pass
-        t *= 0.5
-    raise ArithmeticError("no evaluable grid range found for this profile")
+    k = kcond(profile, x)
+    if k >= 0.0:
+        raise ArithmeticError(f"base metric degenerate at x={x} (density {-2.0 * k})")
+    k1_fn, k2_fn = profile._kcond_derivative_fns
+    mu1 = k1_fn(x) / k
+    mu2 = k2_fn(x) / k - mu1 * mu1
+    return (mu1 + x * mu2) / k
 
 
 def monge_ampere_J(profile: Profile, x: float) -> float:
@@ -149,9 +104,7 @@ def einstein_check(profile: Profile, grid: int = 64) -> EinsteinReport:
     """Test constancy of the determinant invariant on a grid."""
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
-    upper = _shrink_to_evaluable(
-        (profile.f, profile._kcond_fn), profile.grid_limit() * (1.0 - 1e-6)
-    )
+    upper = profile.grid_limit() * (1.0 - 1e-6)
     values = [monge_ampere_J(profile, t) for t in chebyshev_grid(upper, grid)]
     mean = sum(values) / len(values)
     variation = max(abs(v - mean) for v in values) / abs(mean)
@@ -187,12 +140,7 @@ def classify_profile(profile: Profile, grid: int = 64) -> ClassificationResult:
     """
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
-    base_fns = _base_curvature_fns(profile)
-    upper = _shrink_to_evaluable(
-        (profile.f, profile.f1, profile.f2, profile.f3, profile._kcond_fn) + base_fns,
-        profile.grid_limit() * (1.0 - 1e-6),
-    )
-    ts = chebyshev_grid(upper, grid)
+    ts = chebyshev_grid(profile.grid_limit() * (1.0 - 1e-6), grid)
 
     f0 = profile.f(0.0)
     f1_0 = profile.f1(0.0)

@@ -182,7 +182,10 @@ class _Parser:
     def _atom(self) -> Expr:
         kind, text, pos = self._advance()
         if kind == "num":
-            return Num(float(text))
+            value = float(text)
+            if math.isinf(value):
+                raise ExpressionSyntaxError(f"number {text} overflows to infinity", pos)
+            return Num(value)
         if kind == "name":
             if text == "t":
                 return Var()
@@ -206,7 +209,11 @@ class _Parser:
 
 def parse_expression(src: str) -> Expr:
     """Parse an expression string into a tree, or raise a positioned error."""
-    return _Parser(src).parse()
+    parser = _Parser(src)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ExpressionSyntaxError("expression nested too deeply", parser._peek()[2]) from None
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +471,9 @@ def compile_expression(expr: Expr):
     """Compile a tree to a fast float->float callable with the same guards
     as :func:`evaluate`."""
     source = f"lambda t: {_emit(expr)}"
-    namespace = {"_pow": math.pow, "_exp": math.exp, "_log": _guarded_log}
+    # folded constants may be infinite or nan, and print as bare inf/nan
+    namespace = {"_pow": math.pow, "_exp": math.exp, "_log": _guarded_log,
+                 "inf": math.inf, "nan": math.nan}
     raw = eval(compile(source, "<profile-expression>", "eval"), namespace)
 
     def evaluator(t: float) -> float:

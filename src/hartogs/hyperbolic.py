@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from weakref import WeakKeyDictionary
 
 from scipy.integrate import quad
 
@@ -91,10 +90,6 @@ def psi(profile: Profile, u: float, *, epsabs: float = 1e-12, epsrel: float = 1e
     return math.copysign(value, u)
 
 
-def psi_prime(profile: Profile, u: float) -> float:
-    return completeness_integrand(profile, u)
-
-
 def psi_map(profile: Profile, sp: SlicePoint) -> tuple[float, float]:
     """Isometry of the slice into the Beltrami-Klein disk."""
     require_inside_slice(profile, sp)
@@ -107,7 +102,7 @@ def psi_map_jacobian(profile: Profile, sp: SlicePoint):
     """Analytic differential of the disk map at (u, v), rows (dx, dy)."""
     require_inside_slice(profile, sp)
     p = psi(profile, sp.u)
-    dp = psi_prime(profile, sp.u)
+    dp = completeness_integrand(profile, sp.u)
     t = sp.u * sp.u
     f = profile.f(t)
     f1 = profile.f1(t)
@@ -242,24 +237,15 @@ def completeness(profile: Profile, *, quad_epsabs: float = 1e-10) -> Completenes
 # ---------------------------------------------------------------------------
 # Embedding of the linear family into the unit ball
 
-_HYPERBOLIC_PARAMS_CACHE: "WeakKeyDictionary[Profile, tuple[float, float]]" = WeakKeyDictionary()
-
-
 def hyperbolic_params(profile: Profile) -> tuple[float, float]:
     """(c1, c2) of a linear profile c1 - c2*t, or raise ProfileFamilyError."""
-    try:
-        return _HYPERBOLIC_PARAMS_CACHE[profile]
-    except KeyError:
-        pass
     result = classify_profile(profile)
     if result.family != FAMILY_HYPERBOLIC:
         raise ProfileFamilyError(
             f"profile classified as {result.family!r}; the ball embedding "
             "exists only for linear profiles"
         )
-    params = (result.params["c1"], result.params["c2"])
-    _HYPERBOLIC_PARAMS_CACHE[profile] = params
-    return params
+    return result.params["c1"], result.params["c2"]
 
 
 def phi_embed(profile: Profile, point: DomainPoint) -> DomainPoint:

@@ -3,8 +3,10 @@
 A profile is a smooth positive function f on [0, b) ingested as an
 expression string.  Derivatives up to third order are produced by exact
 symbolic differentiation of the parsed tree, never by finite differences:
-the downstream residuals need f''' and the pseudoconvexity check needs the
-exact derivative of t*f'(t)/f(t).
+the downstream residuals need f'''.  The pseudoconvexity density
+(t*f'/f)' is built from the log-derivative of f, assembled from the
+structure of the tree, so no power of f lands in a denominator and the
+density stays evaluable where f itself underflows.
 """
 
 from __future__ import annotations
@@ -14,10 +16,16 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .expressions import (
+    Add,
     Div,
+    Exp,
     Expr,
     ExpressionEvalError,
     Mul,
+    Neg,
+    Num,
+    Pow,
+    Sub,
     Var,
     compile_expression,
     differentiate,
@@ -64,19 +72,44 @@ class Profile:
 
     @cached_property
     def kcond_ast(self) -> Expr:
-        # d/dt (t*f1/f), assembled by the symbolic quotient/product rule.
-        quotient = Div(Mul(Var(), self.asts[1]), self.asts[0])
-        return simplify(differentiate(quotient))
+        # d/dt (t*L) = L + t*L' with L = f1/f, the log-derivative of f.
+        log_d = simplify(_log_derivative(self.asts[0]))
+        return simplify(Add(log_d, Mul(Var(), simplify(differentiate(log_d)))))
 
     @cached_property
     def _kcond_fn(self):
         return compile_expression(self.kcond_ast)
+
+    @cached_property
+    def _kcond_derivative_fns(self):
+        # kcond' and kcond'', for the curvature of the base metric.
+        k1 = simplify(differentiate(self.kcond_ast))
+        return compile_expression(k1), compile_expression(simplify(differentiate(k1)))
 
     def grid_limit(self, t_max: float = DEFAULT_T_MAX) -> float:
         """Upper end of the sampling range: just inside b, or t_max if b=inf."""
         if math.isinf(self.b):
             return t_max
         return self.b * (1.0 - _GRID_MARGIN)
+
+
+def _log_derivative(expr: Expr) -> Expr:
+    """Tree of g'/g, split along products, quotients, powers and exp so
+    that only sums, t and log are divided by themselves."""
+    match expr:
+        case Num(_):
+            return Num(0.0)
+        case Neg(g):
+            return _log_derivative(g)
+        case Mul(a, b):
+            return Add(_log_derivative(a), _log_derivative(b))
+        case Div(a, b):
+            return Sub(_log_derivative(a), _log_derivative(b))
+        case Pow(g, p):
+            return Mul(Num(p), _log_derivative(g))
+        case Exp(g):
+            return differentiate(g)
+    return Div(differentiate(expr), expr)
 
 
 def parse_profile(src: str, b: float, n: int) -> Profile:

@@ -58,6 +58,10 @@ def make_power_neg(rng, n=2) -> Family:
 
 FAMILY_MAKERS = (make_linear, make_spring, make_power_pos, make_power_neg)
 
+# (a, c) of fast-decay profiles exp(-a*t - c*t^2): f underflows far out on
+# the grid, while kcond = -a - 4*c*t stays tame
+FAST_DECAY = [(0.5, 0.02), (0.5, 0.2), (2.0, 0.02), (2.0, 0.2), (1.2, 0.08)]
+
 
 @pytest.fixture(scope="session")
 def battery() -> list[Family]:

@@ -45,6 +45,24 @@ class TestValidateCommand:
         code = main(["validate", "--F", "1 - t"])
         assert code == EXIT_INPUT
 
+    def test_overflowing_literal(self, capsys):
+        code, report = run_json(capsys, "validate", "--F", "1e400 - t", "--b", "1")
+        assert code == EXIT_INPUT
+        assert report["error"]["position"] == 0
+
+    def test_deep_nesting(self, capsys):
+        code, report = run_json(capsys, "validate", "--F", "(" * 400 + "t" + ")" * 400, "--b", "1")
+        assert code == EXIT_INPUT
+        assert isinstance(report["error"]["position"], int)
+
+    def test_infinite_fold_is_evaluation_failure(self, capsys):
+        code = main(["validate", "--F", "1e300*1e300 - t", "--b", "1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_BREACH
+        report = json.loads(captured.out)["report"]
+        assert report["evaluation_failures"][0][1] == "non-finite value"
+        assert "Traceback" not in captured.err
+
 
 class TestCurvatureCommand:
     def test_passes_at_tolerance(self, capsys):
@@ -150,6 +168,15 @@ class TestClassifyAndEinstein:
         assert payload["family"] == "spring"
         assert payload["completeness"]["verdict"] == "complete"
         assert payload["einstein"]["is_einstein"] is False
+
+    def test_underflowing_base_curvature_is_input_error(self, capsys):
+        # a sum of exponentials falls back to the quotient f'/f, which
+        # underflows on the classification grid; the command reports it
+        code = main(["classify", "--F", "exp(-20*t) + exp(-21*t)", "--b", "inf"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert "division by zero" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_einstein_command(self, capsys):
         code, report = run_json(capsys, "einstein", "--F", "2 - 3*t", "--b", "0.66")

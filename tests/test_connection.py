@@ -17,7 +17,7 @@ from hartogs import (
     straightline_residual,
     straightline_residual_algebraic,
 )
-from hartogs.connection import GeodesicTrace
+from hartogs.connection import DegenerateMetricError, GeodesicTrace
 from hartogs.metric import DomainPoint, hermitian_metric
 
 from conftest import random_slice_points
@@ -75,6 +75,12 @@ class TestChristoffel:
             ch = christoffel_closed(p, SlicePoint(u, 0.0))
             assert ch.G111 == pytest.approx(2 * u / (1 - u * u), rel=1e-12)
             assert ch.G211 == 0.0
+
+    def test_degenerate_point_raises(self):
+        # f1(0) = 0 makes the metric degenerate at the origin
+        p = parse_profile("1 - t^2", 1, 2)
+        with pytest.raises(DegenerateMetricError):
+            christoffel_closed(p, SlicePoint(0.0, 0.0))
 
 
 class TestGeodesics:

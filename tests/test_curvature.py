@@ -22,7 +22,7 @@ from hartogs.curvature import (
     brioschi_curvature,
 )
 
-from conftest import FAMILY_MAKERS, fd1, fd2, random_slice_points
+from conftest import FAMILY_MAKERS, FAST_DECAY, fd1, fd2, random_slice_points
 
 
 class TestSliceCurvature:
@@ -202,6 +202,11 @@ class TestClassification:
         r = classify_profile(parse_profile("1/(1 + t + t^2)", math.inf, 2))
         assert r.family == FAMILY_GENERIC
         assert math.isinf(r.fit_residual)
+
+    @pytest.mark.parametrize("a,c", FAST_DECAY)
+    def test_fast_decay_generic(self, a, c):
+        r = classify_profile(parse_profile(f"exp(-{a}*t - {c}*t^2)", math.inf, 2))
+        assert r.family == FAMILY_GENERIC
 
     def test_power_neg_exponent_one_is_hyperbolic(self):
         # (c1 - c2 t)^1 is linear; classification order resolves the overlap

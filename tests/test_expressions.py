@@ -78,6 +78,16 @@ class TestParsing:
         assert isinstance(e, Pow)
         assert e.exponent == 3.0
 
+    def test_overflowing_literal_is_positioned(self):
+        with pytest.raises(ExpressionSyntaxError, match="infinity") as err:
+            parse_expression("2*t + 1e400")
+        assert err.value.position == 6
+
+    def test_deep_nesting_is_positioned(self):
+        with pytest.raises(ExpressionSyntaxError, match="nested") as err:
+            parse_expression("(" * 400 + "t" + ")" * 400)
+        assert 0 <= err.value.position <= 801
+
 
 class TestDifferentiation:
     def test_linear(self):
@@ -132,6 +142,12 @@ class TestGuards:
         assert fn(0.5) == 2.0
         with pytest.raises(ExpressionEvalError):
             fn(1.0)
+
+    def test_compiled_infinite_fold_evaluates(self):
+        tree = simplify(parse_expression("1e300*1e300 - t"))
+        assert compile_expression(tree)(1.0) == math.inf
+        tree = simplify(parse_expression("1e300*1e300 - 1e300*1e300 + t"))
+        assert math.isnan(compile_expression(tree)(1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -26,16 +26,20 @@ from hartogs.hyperbolic import (
     VERDICT_UNKNOWN,
     ProfileFamilyError,
     _classify_tail,
-    psi_prime,
+    completeness_integrand,
 )
 
-from conftest import fd1, random_slice_points
+from conftest import FAST_DECAY, fd1, random_slice_points
 
 
 class TestPsi:
     def test_zero(self, battery):
         for family in battery:
             assert psi(family.profile, 0.0) == 0.0
+
+    def test_spring_far_out(self):
+        # the density of exp(-t) is 1, also where powers of f(u^2) underflow
+        assert psi(parse_profile("exp(-t)", math.inf, 2), 25.0) == pytest.approx(25.0, abs=1e-9)
 
     def test_ball_is_arctanh(self):
         p = parse_profile("1 - t", 1, 2)
@@ -144,6 +148,18 @@ class TestCompleteness:
         report = completeness(parse_profile("exp(-0.7*t)", math.inf, 2))
         assert report.verdict == VERDICT_COMPLETE
         assert math.isinf(report.integral_value)
+
+    @pytest.mark.parametrize("a,c", FAST_DECAY)
+    def test_fast_decay_complete(self, a, c):
+        report = completeness(parse_profile(f"exp(-{a}*t - {c}*t^2)", math.inf, 2))
+        assert report.verdict == VERDICT_COMPLETE
+
+    def test_spring_ladder_stays_exact(self):
+        profile = parse_profile("1.3063*exp(-1.4562*t)", math.inf, 2)
+        assert completeness(profile).verdict == VERDICT_COMPLETE
+        assert completeness_integrand(profile, 16.0) == pytest.approx(
+            math.sqrt(1.4562), abs=1e-12
+        )
 
     def test_ball_complete(self):
         report = completeness(parse_profile("1 - t", 1, 2))
@@ -269,7 +285,7 @@ class TestPhiEmbed:
         assert max(d_ab, d_ba) <= 1e-6
 
 
-def test_psi_prime_is_integrand(battery, rng):
+def test_completeness_integrand_is_psi_derivative(battery, rng):
     for family in battery:
         for _ in range(10):
             u = rng.uniform(0, family.u_window)
@@ -277,4 +293,4 @@ def test_psi_prime_is_integrand(battery, rng):
             if u < 2 * h:
                 continue
             numeric = fd1(lambda s: psi(family.profile, s), u, h)
-            assert psi_prime(family.profile, u) == pytest.approx(numeric, rel=1e-7)
+            assert completeness_integrand(family.profile, u) == pytest.approx(numeric, rel=1e-7)

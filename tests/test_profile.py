@@ -5,10 +5,16 @@ import math
 import pytest
 
 from hartogs import kcond, parse_profile, validate
-from hartogs.expressions import ExpressionSyntaxError
+from hartogs.expressions import Exp, ExpressionSyntaxError, Num
 from hartogs.profile import chebyshev_grid
 
-from conftest import FAMILY_MAKERS, fd1, random_slice_points
+from conftest import FAMILY_MAKERS, FAST_DECAY, fd1, random_slice_points
+
+
+def _has_exp(expr) -> bool:
+    if isinstance(expr, Exp):
+        return True
+    return any(_has_exp(v) for v in vars(expr).values() if hasattr(v, "__dataclass_fields__"))
 
 
 class TestParseProfile:
@@ -172,3 +178,18 @@ def test_random_slice_points_inside(rng):
         for sp in random_slice_points(family, 50, rng):
             assert sp.u * sp.u < family.profile.b
             assert sp.v * sp.v < family.profile.f(sp.u * sp.u)
+
+
+class TestLogDerivativeKcond:
+    def test_spring_kcond_is_constant_tree(self):
+        assert parse_profile("1.3*exp(-0.8*t)", math.inf, 2).kcond_ast == Num(-0.8)
+
+    def test_fast_decay_kcond_has_no_exp(self):
+        p = parse_profile("exp(-1.2*t - 0.08*t^2)", math.inf, 2)
+        assert not _has_exp(p.kcond_ast)
+        assert kcond(p, 40.0) == pytest.approx(-1.2 - 4 * 0.08 * 40.0, rel=1e-14)
+
+    @pytest.mark.parametrize("a,c", FAST_DECAY)
+    def test_fast_decay_valid(self, a, c):
+        report = validate(parse_profile(f"exp(-{a}*t - {c}*t^2)", math.inf, 2))
+        assert report.valid, report.violation_summary()
