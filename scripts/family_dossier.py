@@ -1,25 +1,20 @@
 #!/usr/bin/env python3
 """Run the full analysis battery over the built-in profile families.
 
-For each family (and a generic control), prints one dossier line with the
-classification, completeness verdict, Einstein flag, and a spot-check of
-the slice curvature, and optionally writes everything to JSON.
+For each family (and a generic control), runs ``hartogs classify`` and
+``hartogs curvature`` and prints one dossier line with the classification,
+completeness verdict, Einstein flag, and a spot-check of the slice
+curvature, and optionally writes everything to JSON.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import math
+import sys
 
-import numpy as np
-
-from hartogs import (
-    SlicePoint,
-    classify_profile,
-    completeness,
-    einstein_check,
-    gauss_curvature_slice,
-    parse_profile,
-)
+from hartogs.cli import EXIT_INPUT, main as hartogs
 
 DEMO_PROFILES = [
     ("unit ball", "1 - t", 1.0),
@@ -31,15 +26,12 @@ DEMO_PROFILES = [
 ]
 
 
-def curvature_spot_check(profile, seed, count=50):
-    rng = np.random.default_rng(seed)
-    u_max = 0.95 * math.sqrt(profile.b) if math.isfinite(profile.b) else 1.5
-    worst = 0.0
-    for _ in range(count):
-        u = rng.uniform(-u_max, u_max)
-        v = rng.uniform(-1, 1) * 0.9 * math.sqrt(profile.f(u * u))
-        worst = max(worst, abs(gauss_curvature_slice(profile, SlicePoint(u, v)) + 0.5))
-    return worst
+def run_hartogs(*argv):
+    """The report of one CLI run; exits with its message on an input error."""
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        if hartogs(list(argv)) == EXIT_INPUT:
+            sys.exit(stdout.getvalue() or EXIT_INPUT)
+    return json.loads(stdout.getvalue())["report"]
 
 
 def main():
@@ -53,27 +45,28 @@ def main():
     print(header)
     print("-" * len(header))
     for name, src, b in DEMO_PROFILES:
-        profile = parse_profile(src, b, 2)
-        result = classify_profile(profile)
-        comp = completeness(profile)
-        einstein = einstein_check(profile)
-        worst_k = curvature_spot_check(profile, args.seed)
-        value = "inf" if math.isinf(comp.integral_value) else f"{comp.integral_value:.6f}"
+        profile = (f"--F={src}", f"--b={b!r}")
+        result = run_hartogs("classify", *profile)
+        curvature = run_hartogs("curvature", *profile, "--points=50", f"--seed={args.seed}")
+        worst_k = curvature["max_deviation_from_minus_half"]
+        value = result["completeness"]["integral_value"]
+        if not isinstance(value, str):  # the report spells inf and nan as strings
+            value = f"{value:.6f}"
         print(
-            f"{name:16s} {result.family:26s} {comp.verdict:11s} "
-            f"{str(einstein.is_einstein):9s} {worst_k:<12.2e} {value}"
+            f"{name:16s} {result['family']:26s} {result['completeness']['verdict']:11s} "
+            f"{str(result['einstein']['is_einstein']):9s} {worst_k:<12.2e} {value}"
         )
         rows.append(
             {
                 "name": name,
                 "expression": src,
                 "b": b if math.isfinite(b) else "inf",
-                "family": result.family,
-                "params": result.params,
-                "fit_residual": result.fit_residual if math.isfinite(result.fit_residual) else "inf",
-                "completeness": comp.verdict,
+                "family": result["family"],
+                "params": result["params"],
+                "fit_residual": result["fit_residual"],
+                "completeness": result["completeness"]["verdict"],
                 "integral_value": value,
-                "is_einstein": einstein.is_einstein,
+                "is_einstein": result["einstein"]["is_einstein"],
                 "max_curvature_deviation": worst_k,
                 "seed": args.seed,
             }

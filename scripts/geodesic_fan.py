@@ -1,24 +1,29 @@
 #!/usr/bin/env python3
 """Integrate a fan of origin geodesics for one profile and dump CSV traces.
 
-Each trace is screened for self-intersections and energy drift; one summary
-line is printed per direction.  Useful for plotting the geodesic picture of
-a domain with external tools.
+Each ray is one ``hartogs geodesic`` run, which screens the trace for
+self-intersections and energy drift and writes it as CSV; one summary line
+is printed per direction.  Useful for plotting the geodesic picture of a
+domain with external tools.
 """
 
 import argparse
-import csv
+import contextlib
+import io
+import json
 import math
 import os
+import sys
 
-import numpy as np
+from hartogs.cli import EXIT_INPUT, main as hartogs
 
-from hartogs import (
-    SlicePoint,
-    integrate_geodesic,
-    parse_profile,
-    self_intersection_check,
-)
+
+def run_hartogs(*argv):
+    """The report of one CLI run; exits with its message on an input error."""
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        if hartogs(list(argv)) == EXIT_INPUT:
+            sys.exit(stdout.getvalue() or EXIT_INPUT)
+    return json.loads(stdout.getvalue())["report"]
 
 
 def main():
@@ -29,43 +34,22 @@ def main():
     parser.add_argument("--length", type=float, default=6.0)
     parser.add_argument("--out-dir", default="traces")
     args = parser.parse_args()
-
-    b = math.inf if args.b.lower() in ("inf", "+inf", "infinity") else float(args.b)
-    profile = parse_profile(args.F, b, 2)
     os.makedirs(args.out_dir, exist_ok=True)
 
     print(f"{'angle':>8s} {'arc':>8s} {'boundary':>9s} {'drift':>10s} {'screen':>7s}")
     for i in range(args.rays):
         angle = 2.0 * math.pi * i / args.rays
-        trace = integrate_geodesic(
-            profile,
-            SlicePoint(0.0, 0.0),
-            (math.cos(angle), math.sin(angle)),
-            args.length,
-        )
-        screen = self_intersection_check(trace)
-        drift = float(np.max(np.abs(trace.energies - trace.energy)))
         path = os.path.join(args.out_dir, f"ray_{i:03d}.csv")
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(("s", "u", "v", "du", "dv", "energy"))
-            for j in range(len(trace)):
-                writer.writerow(
-                    [
-                        repr(float(x))
-                        for x in (
-                            trace.s[j],
-                            trace.points[j, 0],
-                            trace.points[j, 1],
-                            trace.tangents[j, 0],
-                            trace.tangents[j, 1],
-                            trace.energies[j],
-                        )
-                    ]
-                )
+        # values go with "=": a direction or an expression may start with "-"
+        report = run_hartogs(
+            "geodesic", f"--F={args.F}", f"--b={args.b}",
+            f"--dir={math.cos(angle)!r},{math.sin(angle)!r}",
+            f"--length={args.length!r}", f"--out={path}", "--format=csv",
+        )
         print(
-            f"{math.degrees(angle):8.2f} {trace.s[-1]:8.3f} "
-            f"{str(trace.boundary_hit):>9s} {drift:10.2e} {str(screen.passed):>7s}"
+            f"{math.degrees(angle):8.2f} {report['arc_length']:8.3f} "
+            f"{str(report['boundary_hit']):>9s} {report['max_energy_drift']:10.2e} "
+            f"{str(report['self_intersection']['passed']):>7s}"
         )
     print(f"\ntraces written to {args.out_dir}/")
 

@@ -14,16 +14,12 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import __version__
-from .connection import (
-    integrate_geodesic,
-    reduce_to_slice,
-    self_intersection_check,
-)
+from .connection import integrate_geodesic, reduce_to_slice, self_intersection_check
 from .curvature import classify_profile, einstein_check, gauss_curvature_slice
 from .expressions import ExpressionSyntaxError
 from .hyperbolic import VERDICT_UNKNOWN, completeness
@@ -97,7 +93,8 @@ def _emit_report(config: RunConfig, started: float, **body) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def _write_output(config: RunConfig, json_text: str, csv_rows=None, csv_header=None):
+def _write_output(config: RunConfig, json_text: str, table):
+    """Print the report; write it, or ``table = (header, rows)`` as CSV, to --out."""
     sys.stdout.write(json_text)
     if config.out is None:
         return
@@ -105,35 +102,18 @@ def _write_output(config: RunConfig, json_text: str, csv_rows=None, csv_header=N
         with open(config.out, "w") as handle:
             handle.write(json_text)
     else:
-        if csv_rows is None:
+        if table is None:
             raise ValueError(f"command {config.command!r} has no CSV output")
+        header, rows = table
         with open(config.out, "w", newline="") as handle:
             writer = csv.writer(handle)
-            writer.writerow(csv_header)
-            for row in csv_rows:
+            writer.writerow(header)
+            for row in rows:
                 writer.writerow([repr(float(x)) for x in row])
 
 
-def _sample_interior(profile: Profile, count: int, rng, u_max: float):
-    points = []
-    while len(points) < count:
-        u = rng.uniform(-u_max, u_max)
-        v_cap = 0.92 * math.sqrt(profile.f(u * u))
-        v = rng.uniform(-v_cap, v_cap)
-        points.append(SlicePoint(u, v))
-    return points
-
-
-def _default_u_max(profile: Profile, requested: float | None) -> float:
-    if requested is not None:
-        return requested
-    if math.isfinite(profile.b):
-        return 0.95 * math.sqrt(profile.b)
-    return 2.0
-
-
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each returns (payload, exit code, CSV table or None)
 
 def _cmd_validate(profile: Profile, config: RunConfig):
     report = validate(
@@ -142,48 +122,39 @@ def _cmd_validate(profile: Profile, config: RunConfig):
         t_max=float(config.options["t_max"]),
         enforce_monotone=not config.options["allow_increasing"],
     )
-    payload = {
-        "valid": report.valid,
-        "grid_size": report.grid_size,
-        "t_upper": report.t_upper,
-        "positivity_violations": list(report.positivity_violations),
-        "monotonicity_violations": list(report.monotonicity_violations),
-        "pseudoconvexity_violations": list(report.pseudoconvexity_violations),
-        "evaluation_failures": [list(item) for item in report.evaluation_failures],
-        "monotonicity_enforced": report.monotonicity_enforced,
-    }
-    return payload, (EXIT_OK if report.valid else EXIT_BREACH), None, None
+    return asdict(report), (EXIT_OK if report.valid else EXIT_BREACH), None
 
 
 def _cmd_curvature(profile: Profile, config: RunConfig):
+    u_max = config.options["u_max"]
+    if u_max is None:
+        u_max = 0.95 * math.sqrt(profile.b) if math.isfinite(profile.b) else 2.0
     rng = np.random.default_rng(config.seed)
-    u_max = _default_u_max(profile, config.options.get("u_max"))
-    points = _sample_interior(profile, int(config.options["points"]), rng, u_max)
-    samples = []
-    worst = 0.0
-    for sp in points:
-        k = gauss_curvature_slice(profile, sp)
-        samples.append({"u": sp.u, "v": sp.v, "K": k})
-        worst = max(worst, abs(k + 0.5))
+    points = []
+    for _ in range(int(config.options["points"])):
+        u = rng.uniform(-u_max, u_max)
+        v_cap = 0.92 * math.sqrt(profile.f(u * u))
+        points.append(SlicePoint(u, rng.uniform(-v_cap, v_cap)))
+    rows = [(sp.u, sp.v, gauss_curvature_slice(profile, sp)) for sp in points]
+    worst = max([0.0] + [abs(k + 0.5) for _, _, k in rows])
     payload = {
         "target": -0.5,
         "max_deviation_from_minus_half": worst,
         "tolerance": config.tol,
-        "samples": samples,
+        "samples": [{"u": u, "v": v, "K": k} for u, v, k in rows],
         "u_max": u_max,
     }
-    rows = [(s["u"], s["v"], s["K"]) for s in samples]
     code = EXIT_OK if worst < config.tol else EXIT_BREACH
-    return payload, code, rows, ("u", "v", "K")
+    return payload, code, (("u", "v", "K"), rows)
 
 
 def _cmd_geodesic(profile: Profile, config: RunConfig):
     components = [
         complex(part.strip()) for part in str(config.options["direction"]).split(",")
     ]
-    reduction_info = None
+    reduction = None
     if len(components) == 2 and all(w.imag == 0.0 for w in components):
-        slice_dir = np.array([w.real for w in components])
+        slice_dir = [w.real for w in components]
     else:
         if len(components) != profile.n:
             raise ValueError(
@@ -191,13 +162,6 @@ def _cmd_geodesic(profile: Profile, config: RunConfig):
                 f"or {profile.n} complex"
             )
         slice_dir, reduction = reduce_to_slice(components)
-        reduction_info = {
-            "theta": reduction.theta,
-            "unitary": [
-                [{"re": w.real, "im": w.imag} for w in row]
-                for row in reduction.unitary.tolist()
-            ],
-        }
     start_u, start_v = (float(x.strip()) for x in str(config.options["start"]).split(","))
     trace = integrate_geodesic(
         profile,
@@ -218,77 +182,63 @@ def _cmd_geodesic(profile: Profile, config: RunConfig):
             "min_distance": screen.min_distance,
             "threshold_at_min": screen.threshold_at_min,
         },
-        "reduction": reduction_info,
+        "reduction": None if reduction is None else asdict(reduction),
         "start": {"u": start_u, "v": start_v},
     }
-    rows = [
-        (trace.s[i], trace.points[i, 0], trace.points[i, 1],
-         trace.tangents[i, 0], trace.tangents[i, 1], trace.energies[i])
-        for i in range(len(trace))
-    ]
+    rows = np.column_stack((trace.s, trace.points, trace.tangents, trace.energies))
     code = EXIT_OK if screen.passed else EXIT_BREACH
-    return payload, code, rows, ("s", "u", "v", "du", "dv", "energy")
+    return payload, code, (("s", "u", "v", "du", "dv", "energy"), rows)
 
 
 def _cmd_completeness(profile: Profile, config: RunConfig):
     report = completeness(profile)
-    payload = {
-        "verdict": report.verdict,
-        "integral_value": report.integral_value,
-        "diagnostics": report.diagnostics,
-    }
     code = EXIT_INCONCLUSIVE if report.verdict == VERDICT_UNKNOWN else EXIT_OK
-    return payload, code, None, None
+    return asdict(report), code, None
 
 
 def _cmd_einstein(profile: Profile, config: RunConfig):
-    report = einstein_check(profile, grid=int(config.options["grid"]))
-    payload = {
-        "is_einstein": report.is_einstein,
-        "max_relative_variation": report.max_relative_variation,
-        "mean_value": report.mean_value,
-    }
-    return payload, EXIT_OK, None, None
+    return asdict(einstein_check(profile, grid=int(config.options["grid"]))), EXIT_OK, None
 
 
 def _cmd_classify(profile: Profile, config: RunConfig):
-    result = classify_profile(profile, grid=int(config.options["grid"]))
+    grid = int(config.options["grid"])
+    result = classify_profile(profile, grid=grid)
     comp = completeness(profile)
-    einstein = einstein_check(profile, grid=int(config.options["grid"]))
-    payload = {
-        "family": result.family,
-        "params": result.params,
-        "fit_residual": result.fit_residual,
-        "base_curvature": result.base_curvature,
-        "completeness": {
-            "verdict": comp.verdict,
-            "integral_value": comp.integral_value,
-        },
+    einstein = einstein_check(profile, grid=grid)
+    payload = asdict(result) | {
+        "completeness": {"verdict": comp.verdict, "integral_value": comp.integral_value},
         "einstein": {
             "is_einstein": einstein.is_einstein,
             "max_relative_variation": einstein.max_relative_variation,
         },
     }
     code = EXIT_INCONCLUSIVE if comp.verdict == VERDICT_UNKNOWN else EXIT_OK
-    return payload, code, None, None
+    return payload, code, None
 
 
+# Each command: its runner and its options, name -> (flag, type, default,
+# help).  A bool option is a bare flag that sets True.
+_GRID = ("--grid", int, 64, "evaluation grid size")
 _COMMANDS = {
-    "validate": _cmd_validate,
-    "curvature": _cmd_curvature,
-    "geodesic": _cmd_geodesic,
-    "completeness": _cmd_completeness,
-    "einstein": _cmd_einstein,
-    "classify": _cmd_classify,
-}
-
-_COMMAND_DEFAULTS = {
-    "validate": {"grid": 1024, "t_max": 50.0, "allow_increasing": False},
-    "curvature": {"points": 100, "u_max": None},
-    "geodesic": {"direction": "1,0", "length": 10.0, "start": "0,0", "guard": 0.5},
-    "completeness": {},
-    "einstein": {"grid": 64},
-    "classify": {"grid": 64},
+    "validate": (_cmd_validate, {
+        "grid": ("--grid", int, 1024, "validation grid size"),
+        "t_max": ("--t-max", float, 50.0, "sampling cap when b is infinite"),
+        "allow_increasing": ("--allow-increasing", bool, False, "do not require f' <= 0"),
+    }),
+    "curvature": (_cmd_curvature, {
+        "points": ("--points", int, 100, "number of sample points"),
+        "u_max": ("--u-max", float, None, "sampling window for u"),
+    }),
+    "geodesic": (_cmd_geodesic, {
+        "direction": ("--dir", str, "1,0",
+                      "initial direction: 'du,dv' or n complex components"),
+        "length": ("--length", float, 10.0, "arc length to integrate"),
+        "start": ("--start", str, "0,0", "starting point 'u,v' (default origin)"),
+        "guard": ("--guard", float, 0.5, "self-intersection guard factor"),
+    }),
+    "completeness": (_cmd_completeness, {}),
+    "einstein": (_cmd_einstein, {"grid": _GRID}),
+    "classify": (_cmd_classify, {"grid": _GRID}),
 }
 
 
@@ -298,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical Riemannian geometry of Hartogs domains.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, options) in _COMMANDS.items():
         cmd = sub.add_parser(name)
         cmd.add_argument("--F", dest="expression", help="profile expression in t")
         cmd.add_argument("--b", dest="b", help="domain bound (positive real or 'inf')")
@@ -308,35 +258,25 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", help="output file path")
         cmd.add_argument("--format", choices=("json", "csv"), help="output file format")
         cmd.add_argument("--config", help="JSON config file; flags win on conflict")
-        if name == "validate":
-            cmd.add_argument("--grid", type=int, help="validation grid size")
-            cmd.add_argument("--t-max", dest="t_max", type=float,
-                             help="sampling cap when b is infinite")
-            cmd.add_argument("--allow-increasing", dest="allow_increasing",
-                             action="store_const", const=True,
-                             help="do not require f' <= 0")
-        elif name == "curvature":
-            cmd.add_argument("--points", type=int, help="number of sample points")
-            cmd.add_argument("--u-max", dest="u_max", type=float,
-                             help="sampling window for u")
-        elif name == "geodesic":
-            cmd.add_argument("--dir", dest="direction",
-                             help="initial direction: 'du,dv' or n complex components")
-            cmd.add_argument("--length", type=float, help="arc length to integrate")
-            cmd.add_argument("--start", help="starting point 'u,v' (default origin)")
-            cmd.add_argument("--guard", type=float,
-                             help="self-intersection guard factor")
-        elif name in ("einstein", "classify"):
-            cmd.add_argument("--grid", type=int, help="evaluation grid size")
+        for dest, (flag, kind, _default, text) in options.items():
+            if kind is bool:
+                cmd.add_argument(flag, dest=dest, action="store_const", const=True, help=text)
+            else:
+                cmd.add_argument(flag, dest=dest, type=kind, help=text)
     return parser
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     command = args.command
-    merged: dict = {"n": 2, "seed": 0, "tol": 1e-6, "format": "json", "out": None}
-    merged.update(_COMMAND_DEFAULTS[command])
-    aliases = {"F": "expression", "dir": "direction"}
-    if getattr(args, "config", None):
+    merged = {f.name: f.default for f in fields(RunConfig) if f.default is not MISSING}
+    merged.update({name: default for name, (_, _, default, _) in _COMMANDS[command][1].items()})
+    # a config file may use flag spellings, as in {"F": ..., "t-max": ..., "dir": ...}
+    aliases = {"F": "expression"} | {
+        flag[2:].replace("-", "_"): name
+        for _, options in _COMMANDS.values()
+        for name, (flag, *_) in options.items()
+    }
+    if args.config:
         with open(args.config) as handle:
             file_config = json.load(handle)
         if not isinstance(file_config, dict):
@@ -348,9 +288,9 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         if key in ("command", "config") or value is None:
             continue
         merged[key] = value
-    if "expression" not in merged or merged["expression"] is None:
+    if merged.get("expression") is None:
         raise ValueError("profile expression is required (--F or config file)")
-    if "b" not in merged or merged["b"] is None:
+    if merged.get("b") is None:
         raise ValueError("domain bound is required (--b or config file)")
     common = {
         "expression": str(merged.pop("expression")),
@@ -366,30 +306,17 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
 def main(argv=None) -> int:
     started = time.perf_counter()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = _merge_config(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    try:
         profile = parse_profile(config.expression, config.b, config.n)
+        payload, code, table = _COMMANDS[config.command][0](profile, config)
+        _write_output(config, _emit_report(config, started, report=payload), table)
     except ExpressionSyntaxError as exc:
         error = {"message": str(exc), "position": exc.position}
         sys.stdout.write(_emit_report(config, started, error=error))
         return EXIT_INPUT
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    try:
-        payload, code, csv_rows, csv_header = _COMMANDS[config.command](profile, config)
-    except (ValueError, ArithmeticError, RuntimeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    try:
-        _write_output(config, _emit_report(config, started, report=payload), csv_rows, csv_header)
-    except (ValueError, OSError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     return code

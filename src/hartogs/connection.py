@@ -27,6 +27,12 @@ from .metric import (
 from .profile import Profile
 
 DEGENERATE_DET_TOL = 1e-30
+GEODESIC_RTOL = 1e-9
+GEODESIC_ATOL = 1e-10
+BOUNDARY_STOP = 1e-8
+ESCAPE_RADIUS = 50.0
+SAMPLES_PER_UNIT = 24.0
+SCREEN_WINDOW = 2
 
 
 class DegenerateMetricError(ArithmeticError):
@@ -147,20 +153,15 @@ def integrate_geodesic(
     start: SlicePoint,
     direction,
     length: float,
-    *,
-    rtol: float = 1e-9,
-    atol: float = 1e-10,
-    boundary_guard: float = 1e-8,
-    escape_radius: float = 50.0,
-    samples_per_unit: float = 24.0,
 ) -> GeodesicTrace:
     """Integrate the geodesic equations on the slice, unit-speed normalized.
 
     Embedded Runge-Kutta 4(5) with dense output; stops early, with the
-    boundary flag set, when f(u^2) - v^2 falls below boundary_guard * f(0),
+    boundary flag set, when f(u^2) - v^2 falls below BOUNDARY_STOP * f(0),
     when u^2 approaches a finite bound b, or when the coordinates escape
-    beyond escape_radius (incomplete domains reach infinity in finite
-    arc length).
+    beyond ESCAPE_RADIUS (incomplete domains reach infinity in finite
+    arc length).  The trace is resampled at SAMPLES_PER_UNIT points per
+    unit of arc length.
     """
     require_inside_slice(profile, start)
     direction = np.asarray(direction, dtype=float)
@@ -179,7 +180,7 @@ def integrate_geodesic(
 
     b = profile.b
     t_cap = None if math.isinf(b) else b * (1.0 - 1e-12)
-    guard_abs = boundary_guard * profile.f(0.0)
+    guard_abs = BOUNDARY_STOP * profile.f(0.0)
 
     def clamped_t(u: float) -> float:
         t = u * u
@@ -213,7 +214,7 @@ def integrate_geodesic(
         events.append(bound_event)
 
     def escape_event(_s, y):
-        return escape_radius * escape_radius - (y[0] * y[0] + y[1] * y[1])
+        return ESCAPE_RADIUS * ESCAPE_RADIUS - (y[0] * y[0] + y[1] * y[1])
 
     escape_event.terminal = True
     escape_event.direction = -1
@@ -225,8 +226,8 @@ def integrate_geodesic(
         (0.0, length),
         y0,
         method="RK45",
-        rtol=rtol,
-        atol=atol,
+        rtol=GEODESIC_RTOL,
+        atol=GEODESIC_ATOL,
         dense_output=True,
         events=events,
     )
@@ -236,7 +237,7 @@ def integrate_geodesic(
         )
     boundary_hit = sol.status == 1
     s_end = sol.t[-1]
-    n_samples = max(8, int(round(samples_per_unit * s_end)) + 1)
+    n_samples = max(8, int(round(SAMPLES_PER_UNIT * s_end)) + 1)
     s_grid = np.linspace(0.0, s_end, n_samples)
     states = sol.sol(s_grid)
     points = states[:2].T.copy()
@@ -357,12 +358,12 @@ def _segment_distances(a1, b1, a2, b2):
 
 
 def self_intersection_check(
-    trace: GeodesicTrace, guard: float = 0.5, window: int = 2
+    trace: GeodesicTrace, guard: float = 0.5
 ) -> SelfIntersectionReport:
     """Screen a polyline trace for self-intersections.
 
     Computes the minimum distance between every pair of non-adjacent
-    segments (index gap larger than ``window``) and passes when each pair
+    segments (index gap larger than SCREEN_WINDOW) and passes when each pair
     stays farther apart than guard times the local sample spacing.
     """
     if len(trace) < 4:
@@ -372,7 +373,7 @@ def self_intersection_check(
     seg_b = pts[1:]
     seg_len = np.linalg.norm(seg_b - seg_a, axis=1)
     n_seg = len(seg_a)
-    idx_i, idx_j = np.triu_indices(n_seg, k=window + 1)
+    idx_i, idx_j = np.triu_indices(n_seg, k=SCREEN_WINDOW + 1)
     if len(idx_i) == 0:
         return SelfIntersectionReport(True, math.inf, (-1, -1), 0.0)
     dists = _segment_distances(seg_a[idx_i], seg_b[idx_i], seg_a[idx_j], seg_b[idx_j])

@@ -474,7 +474,12 @@ def compile_expression(expr: Expr):
     # folded constants may be infinite or nan, and print as bare inf/nan
     namespace = {"_pow": math.pow, "_exp": math.exp, "_log": _guarded_log,
                  "inf": math.inf, "nan": math.nan}
-    raw = eval(compile(source, "<profile-expression>", "eval"), namespace)
+    try:
+        raw = eval(compile(source, "<profile-expression>", "eval"), namespace)
+    except (RecursionError, SyntaxError):
+        # CPython nests at most 200 parentheses, fewer than the parser allows;
+        # the tree keeps no source offsets, so the error points at the start
+        raise ExpressionSyntaxError("expression nested too deeply", 0) from None
 
     def evaluator(t: float) -> float:
         try:

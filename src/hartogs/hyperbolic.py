@@ -44,6 +44,9 @@ _FINITE_CONVERGENT_SLOPE = -0.90
 _INFINITE_DIVERGENT_SLOPE = -0.95
 _INFINITE_CONVERGENT_SLOPE = -1.05
 _SLOPE_SPREAD_TOL = 0.25
+_PSI_EPSABS = 1e-12
+_PSI_EPSREL = 1e-11
+_INTEGRAL_EPSABS = 1e-10
 
 
 class ProfileFamilyError(ValueError):
@@ -72,7 +75,7 @@ def _integrand_clamped(profile: Profile, u: float) -> float:
     return math.sqrt(max(-kcond(profile, t), 0.0))
 
 
-def psi(profile: Profile, u: float, *, epsabs: float = 1e-12, epsrel: float = 1e-11) -> float:
+def psi(profile: Profile, u: float) -> float:
     """Odd, strictly increasing radial coordinate: quadrature of the density."""
     sqrt_b = math.sqrt(profile.b) if math.isfinite(profile.b) else math.inf
     if abs(u) >= sqrt_b:
@@ -83,8 +86,8 @@ def psi(profile: Profile, u: float, *, epsabs: float = 1e-12, epsrel: float = 1e
         lambda s: _integrand_clamped(profile, s),
         0.0,
         abs(u),
-        epsabs=epsabs,
-        epsrel=epsrel,
+        epsabs=_PSI_EPSABS,
+        epsrel=_PSI_EPSREL,
         limit=200,
     )
     return math.copysign(value, u)
@@ -156,7 +159,7 @@ def _classify_tail(slopes: list[float], boundary: str) -> str:
     return VERDICT_UNKNOWN
 
 
-def completeness(profile: Profile, *, quad_epsabs: float = 1e-10) -> CompletenessReport:
+def completeness(profile: Profile) -> CompletenessReport:
     """Classify the improper integral of the arc-length density.
 
     Divergent means geodesically complete.  For finite b the integrand is
@@ -164,53 +167,33 @@ def completeness(profile: Profile, *, quad_epsabs: float = 1e-10) -> Completenes
     ladder is geometric in u.  Convergent integrals are evaluated by
     adaptive quadrature (singularity-aware toward the endpoint).
     """
-    diagnostics: dict = {}
+    # Ladder of (u, x): x is the distance sqrt(b) - u to a finite endpoint,
+    # or u itself toward infinity; slopes are taken against log x.
     if math.isfinite(profile.b):
-        sqrt_b = math.sqrt(profile.b)
-        diagnostics["boundary"] = "finite"
-        ladder_u = []
-        ladder_i = []
-        log_eps = []
-        for j in range(2, 11):
-            eps = sqrt_b * 10.0 ** (-j)
-            u = sqrt_b - eps
-            try:
-                value = completeness_integrand(profile, u)
-            except ArithmeticError as exc:
-                diagnostics.setdefault("evaluation_failures", []).append((u, str(exc)))
-                break
-            if not (math.isfinite(value) and value > 0.0):
-                diagnostics.setdefault("evaluation_failures", []).append((u, f"value {value}"))
-                break
-            ladder_u.append(u)
-            ladder_i.append(value)
-            log_eps.append(math.log10(eps))
-        slopes = _ladder_slopes(log_eps, [math.log10(i) for i in ladder_i])
-        verdict = _classify_tail(slopes, "finite")
-        upper = sqrt_b
+        boundary, upper = "finite", math.sqrt(profile.b)
+        epsilons = [upper * 10.0 ** (-j) for j in range(2, 11)]
+        ladder = [(upper - eps, eps) for eps in epsilons]
     else:
-        diagnostics["boundary"] = "infinite"
-        ladder_u = []
-        ladder_i = []
-        log_u = []
+        boundary, upper = "infinite", math.inf
         # Past u ~ 2^20 the density is computed by catastrophic cancellation
         # and the slopes degrade into roundoff noise; stop before that.
-        for j in range(0, 21):
-            u = 2.0 ** j
-            try:
-                value = completeness_integrand(profile, u)
-            except ArithmeticError as exc:
-                diagnostics.setdefault("evaluation_failures", []).append((u, str(exc)))
-                break
-            if not (math.isfinite(value) and value > 0.0):
-                diagnostics.setdefault("evaluation_failures", []).append((u, f"value {value}"))
-                break
-            ladder_u.append(u)
-            ladder_i.append(value)
-            log_u.append(math.log10(u))
-        slopes = _ladder_slopes(log_u, [math.log10(i) for i in ladder_i])
-        verdict = _classify_tail(slopes, "infinite")
-        upper = math.inf
+        ladder = [(2.0 ** j, 2.0 ** j) for j in range(0, 21)]
+    diagnostics: dict = {"boundary": boundary}
+    ladder_u, ladder_i, log_x = [], [], []
+    for u, x in ladder:
+        try:
+            value = completeness_integrand(profile, u)
+        except ArithmeticError as exc:
+            diagnostics["evaluation_failures"] = [(u, str(exc))]
+            break
+        if not (math.isfinite(value) and value > 0.0):
+            diagnostics["evaluation_failures"] = [(u, f"value {value}")]
+            break
+        ladder_u.append(u)
+        ladder_i.append(value)
+        log_x.append(math.log10(x))
+    slopes = _ladder_slopes(log_x, [math.log10(i) for i in ladder_i])
+    verdict = _classify_tail(slopes, boundary)
 
     diagnostics["ladder_u"] = ladder_u
     diagnostics["ladder_integrand"] = ladder_i
@@ -226,7 +209,7 @@ def completeness(profile: Profile, *, quad_epsabs: float = 1e-10) -> Completenes
         lambda s: _integrand_clamped(profile, s),
         0.0,
         upper,
-        epsabs=quad_epsabs,
+        epsabs=_INTEGRAL_EPSABS,
         epsrel=1e-9,
         limit=400,
     )

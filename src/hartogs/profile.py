@@ -21,6 +21,7 @@ from .expressions import (
     Exp,
     Expr,
     ExpressionEvalError,
+    ExpressionSyntaxError,
     Mul,
     Neg,
     Num,
@@ -54,10 +55,13 @@ class Profile:
         n = int(n)
         if n < 2:
             raise ValueError("complex dimension n must be at least 2")
-        d0 = simplify(ast)
-        d1 = simplify(differentiate(d0))
-        d2 = simplify(differentiate(d1))
-        d3 = simplify(differentiate(d2))
+        try:
+            d0 = simplify(ast)
+            d1 = simplify(differentiate(d0))
+            d2 = simplify(differentiate(d1))
+            d3 = simplify(differentiate(d2))
+        except RecursionError:
+            raise ExpressionSyntaxError("expression nested too deeply", 0) from None
         self.asts: tuple[Expr, Expr, Expr, Expr] = (d0, d1, d2, d3)
         self.b = b
         self.n = n

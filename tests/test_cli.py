@@ -2,11 +2,15 @@
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from hartogs.cli import EXIT_BREACH, EXIT_INCONCLUSIVE, EXIT_INPUT, EXIT_OK, main
+from hartogs.cli import _COMMANDS, EXIT_BREACH, EXIT_INCONCLUSIVE, EXIT_INPUT, EXIT_OK, main
+from hartogs.curvature import ClassificationResult, EinsteinReport
+from hartogs.hyperbolic import CompletenessReport
+from hartogs.profile import ValidationReport
 
 
 def run(capsys, *argv):
@@ -54,6 +58,23 @@ class TestValidateCommand:
         code, report = run_json(capsys, "validate", "--F", "(" * 400 + "t" + ")" * 400, "--b", "1")
         assert code == EXIT_INPUT
         assert isinstance(report["error"]["position"], int)
+
+    @pytest.mark.parametrize(
+        "expression, bound",
+        [
+            # parses, but too deep for the recursive simplifier
+            ("+".join(["1"] * 1499 + ["t"]), "1"),
+            # within the parser's depth guard, past the Python compiler's
+            # limit of 200 nested parentheses
+            ("1-" + "(t/9-" * 210 + "t" + ")" * 210, "0.01"),
+        ],
+    )
+    def test_tree_too_deep_to_derive_or_compile(self, capsys, expression, bound):
+        code = main(["validate", "--F", expression, "--b", bound])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert isinstance(json.loads(captured.out)["error"]["position"], int)
+        assert "Traceback" not in captured.err
 
     def test_infinite_fold_is_evaluation_failure(self, capsys):
         code = main(["validate", "--F", "1e300*1e300 - t", "--b", "1"])
@@ -234,3 +255,55 @@ class TestConfigAndDeterminism:
         _, second = run_json(capsys, "curvature", "--F", "1 - t", "--b", "1",
                              "--points", "5", "--seed", "2")
         assert first["report"]["samples"] != second["report"]["samples"]
+
+
+# a value for every option a command declares; an option without one here
+# fails test_every_declared_option_is_accepted
+OPTION_VALUES = {
+    "grid": 32,
+    "t_max": 20.0,
+    "allow_increasing": True,
+    "points": 5,
+    "u_max": 0.5,
+    "direction": "1,0.5",
+    "length": 1.5,
+    "start": "0.1,0.1",
+    "guard": 0.4,
+}
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    def test_every_declared_option_is_accepted(self, capsys, tmp_path, command):
+        options = _COMMANDS[command][1]
+        given = {name: OPTION_VALUES[name] for name in options}
+        defaults = {name: default for name, (_, _, default, _) in options.items()}
+        flags = []
+        for name, (flag, kind, _, _) in options.items():
+            flags += [flag] if kind is bool else [flag, str(given[name])]
+        config = tmp_path / "run.json"
+        config.write_text(
+            json.dumps({flag.lstrip("-"): given[name] for name, (flag, *_) in options.items()})
+        )
+        profile = ["--F", "1 - t", "--b", "1"]
+        for argv, expected in (
+            (profile + flags, given),
+            (profile + ["--config", str(config)], given),
+            (profile, defaults),
+        ):
+            code, report = run_json(capsys, command, *argv)
+            assert code == EXIT_OK, argv
+            assert report["config"]["options"] == expected
+
+    @pytest.mark.parametrize(
+        "command, report_type, extra",
+        [
+            ("validate", ValidationReport, set()),
+            ("completeness", CompletenessReport, set()),
+            ("einstein", EinsteinReport, set()),
+            ("classify", ClassificationResult, {"completeness", "einstein"}),
+        ],
+    )
+    def test_payload_carries_the_report_fields(self, capsys, command, report_type, extra):
+        _, report = run_json(capsys, command, "--F", "1 - t", "--b", "1")
+        assert set(report["report"]) == {f.name for f in fields(report_type)} | extra
