@@ -3,7 +3,7 @@
 A Hartogs domain is cut out by |z0|^2 < b, ||z||^2 < f(|z0|^2) for a
 positive non-increasing profile f, and carries the Kahler metric with
 potential -log(f(|z0|^2) - ||z||^2).  This package evaluates the metric,
-its connection and curvature, integrates geodesics, decides the
+its connection and curvature, traces geodesics in closed form, decides the
 completeness criterion numerically, and classifies the profile families
 with constant base curvature.
 """

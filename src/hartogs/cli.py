@@ -51,6 +51,14 @@ class RunConfig:
             raise ValueError("tolerance must be positive")
 
 
+def _cast(kind, value, name: str):
+    """value as kind; a value of the wrong shape is an input error."""
+    try:
+        return kind(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}") from None
+
+
 def _parse_bound(text: str) -> float:
     if text.strip().lower() in ("inf", "+inf", "infinity"):
         return math.inf
@@ -118,20 +126,22 @@ def _write_output(config: RunConfig, json_text: str, table):
 def _cmd_validate(profile: Profile, config: RunConfig):
     report = validate(
         profile,
-        grid_size=int(config.options["grid"]),
-        t_max=float(config.options["t_max"]),
+        grid_size=config.options["grid"],
+        t_max=config.options["t_max"],
         enforce_monotone=not config.options["allow_increasing"],
     )
     return asdict(report), (EXIT_OK if report.valid else EXIT_BREACH), None
 
 
 def _cmd_curvature(profile: Profile, config: RunConfig):
+    if config.options["points"] < 1:
+        raise ValueError("points must be at least 1")
     u_max = config.options["u_max"]
     if u_max is None:
         u_max = 0.95 * math.sqrt(profile.b) if math.isfinite(profile.b) else 2.0
     rng = np.random.default_rng(config.seed)
     points = []
-    for _ in range(int(config.options["points"])):
+    for _ in range(config.options["points"]):
         u = rng.uniform(-u_max, u_max)
         v_cap = 0.92 * math.sqrt(profile.f(u * u))
         points.append(SlicePoint(u, rng.uniform(-v_cap, v_cap)))
@@ -149,9 +159,7 @@ def _cmd_curvature(profile: Profile, config: RunConfig):
 
 
 def _cmd_geodesic(profile: Profile, config: RunConfig):
-    components = [
-        complex(part.strip()) for part in str(config.options["direction"]).split(",")
-    ]
+    components = [complex(part.strip()) for part in config.options["direction"].split(",")]
     reduction = None
     if len(components) == 2 and all(w.imag == 0.0 for w in components):
         slice_dir = [w.real for w in components]
@@ -162,14 +170,11 @@ def _cmd_geodesic(profile: Profile, config: RunConfig):
                 f"or {profile.n} complex"
             )
         slice_dir, reduction = reduce_to_slice(components)
-    start_u, start_v = (float(x.strip()) for x in str(config.options["start"]).split(","))
+    start_u, start_v = (float(x.strip()) for x in config.options["start"].split(","))
     trace = integrate_geodesic(
-        profile,
-        SlicePoint(start_u, start_v),
-        slice_dir,
-        float(config.options["length"]),
+        profile, SlicePoint(start_u, start_v), slice_dir, config.options["length"]
     )
-    screen = self_intersection_check(trace, guard=float(config.options["guard"]))
+    screen = self_intersection_check(trace, guard=config.options["guard"])
     drift = float(np.max(np.abs(trace.energies - trace.energy)) / trace.energy)
     payload = {
         "samples": len(trace),
@@ -197,11 +202,11 @@ def _cmd_completeness(profile: Profile, config: RunConfig):
 
 
 def _cmd_einstein(profile: Profile, config: RunConfig):
-    return asdict(einstein_check(profile, grid=int(config.options["grid"]))), EXIT_OK, None
+    return asdict(einstein_check(profile, grid=config.options["grid"])), EXIT_OK, None
 
 
 def _cmd_classify(profile: Profile, config: RunConfig):
-    grid = int(config.options["grid"])
+    grid = config.options["grid"]
     result = classify_profile(profile, grid=grid)
     comp = completeness(profile)
     einstein = einstein_check(profile, grid=grid)
@@ -217,7 +222,8 @@ def _cmd_classify(profile: Profile, config: RunConfig):
 
 
 # Each command: its runner and its options, name -> (flag, type, default,
-# help).  A bool option is a bare flag that sets True.
+# help).  A bool option is a bare flag that sets True.  Every option given
+# reaches the runner cast through its type.
 _GRID = ("--grid", int, 64, "evaluation grid size")
 _COMMANDS = {
     "validate": (_cmd_validate, {
@@ -232,7 +238,7 @@ _COMMANDS = {
     "geodesic": (_cmd_geodesic, {
         "direction": ("--dir", str, "1,0",
                       "initial direction: 'du,dv' or n complex components"),
-        "length": ("--length", float, 10.0, "arc length to integrate"),
+        "length": ("--length", float, 10.0, "arc length to follow (positive, finite)"),
         "start": ("--start", str, "0,0", "starting point 'u,v' (default origin)"),
         "guard": ("--guard", float, 0.5, "self-intersection guard factor"),
     }),
@@ -268,8 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     command = args.command
+    options = _COMMANDS[command][1]
     merged = {f.name: f.default for f in fields(RunConfig) if f.default is not MISSING}
-    merged.update({name: default for name, (_, _, default, _) in _COMMANDS[command][1].items()})
+    merged.update({name: default for name, (_, _, default, _) in options.items()})
     # a config file may use flag spellings, as in {"F": ..., "t-max": ..., "dir": ...}
     aliases = {"F": "expression"} | {
         flag[2:].replace("-", "_"): name
@@ -288,6 +295,9 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         if key in ("command", "config") or value is None:
             continue
         merged[key] = value
+    for name, (_, kind, _, _) in options.items():
+        if merged[name] is not None:
+            merged[name] = _cast(kind, merged[name], name)
     if merged.get("expression") is None:
         raise ValueError("profile expression is required (--F or config file)")
     if merged.get("b") is None:
@@ -295,9 +305,9 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     common = {
         "expression": str(merged.pop("expression")),
         "b": _parse_bound(str(merged.pop("b"))),
-        "n": int(merged.pop("n")),
-        "seed": int(merged.pop("seed")),
-        "tol": float(merged.pop("tol")),
+        "n": _cast(int, merged.pop("n"), "n"),
+        "seed": _cast(int, merged.pop("seed"), "seed"),
+        "tol": _cast(float, merged.pop("tol"), "tol"),
         "out": merged.pop("out"),
         "format": str(merged.pop("format")),
     }

@@ -12,24 +12,24 @@ closed forms are validated against.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .metric import (
+    OutsideDomainError,
     SlicePoint,
     require_inside_slice,
+    slice_c,
     slice_metric,
     slice_metric_jet,
 )
-from .profile import Profile
+from .profile import Profile, density, psi_increment
 
 DEGENERATE_DET_TOL = 1e-30
-GEODESIC_RTOL = 1e-9
-GEODESIC_ATOL = 1e-10
-BOUNDARY_STOP = 1e-8
 ESCAPE_RADIUS = 50.0
 SAMPLES_PER_UNIT = 24.0
 SCREEN_WINDOW = 2
@@ -37,10 +37,6 @@ SCREEN_WINDOW = 2
 
 class DegenerateMetricError(ArithmeticError):
     """Metric determinant vanished to working precision (near-boundary)."""
-
-
-class GeodesicIntegrationError(RuntimeError):
-    """The ODE solver failed before any stopping event triggered."""
 
 
 @dataclass(frozen=True)
@@ -67,7 +63,7 @@ def _christoffel_closed_terms(profile: Profile, t: float, u: float, v: float):
     f2 = profile.f2(t)
     f3 = profile.f3(t)
     w = f - v * v
-    c = f1 * f1 * t - (f1 + f2 * t) * w
+    c = slice_c(t, f1, f2, w)
     w4 = w * w * w * w
     dw4 = 4.0 * (c * f - f1 * f1 * t * v * v)  # det * w^4
     if dw4 == 0.0 or w4 == 0.0:
@@ -131,7 +127,36 @@ def christoffel_generic(profile: Profile, sp: SlicePoint) -> ChristoffelSlice:
 
 
 # ---------------------------------------------------------------------------
-# Geodesic integration
+# Geodesics as Beltrami-Klein chords
+#
+# The disk map Psi(u, v) = (tanh psi, eta / cosh psi), eta = v / sqrt(f(u^2)),
+# is an isometry onto part of the Klein disk of curvature -1/2, where every
+# geodesic is a straight chord.  On the hyperboloid X0^2 - X1^2 - X2^2 = 1
+# over the disk, Psi lifts to X = (cosh psi, sinh psi, eta) / sqrt(1 - eta^2),
+# and the chord at arc length s is
+#
+#     X(sigma) = (e^sigma A + e^-sigma B) / 2,    sigma = s / sqrt(2),
+#
+# with the light-like A = P + T and B = P - T made of the start P and the
+# unit tangent T.  So psi = (log(X0 + X1) - log(X0 - X1)) / 2 and
+# eta = X2 / sqrt(X0^2 - X1^2) come from sums of exponentials, without
+# cancellation, and u from psi by marching the inverse of psi sample by
+# sample.
+
+_SQRT2 = math.sqrt(2.0)
+_LOG2 = math.log(2.0)
+# A marched sample is accepted once Newton's remainder on psi is below this.
+PSI_TOL = 1e-11
+# Newton's step is trusted once the residual on psi is below this.
+_NEWTON_RESIDUAL = 1e-4
+_MARCH_STEPS = 60
+# Samples per vectorised stretch of the chord.
+_BLOCK = 256
+# The slice gap f - v^2 that float64 still resolves: above the rounding of
+# f itself, and with a normal square, as the metric divides by w^2.
+_GAP_REL = 4.0 * sys.float_info.epsilon
+_GAP_MIN = math.sqrt(sys.float_info.min)
+
 
 @dataclass(frozen=True, eq=False)
 class GeodesicTrace:
@@ -148,20 +173,218 @@ class GeodesicTrace:
         return len(self.s)
 
 
+def _minkowski(x, y) -> float:
+    return x[0] * y[0] - x[1] * y[1] - x[2] * y[2]
+
+
+def _light_cone_logs(vec) -> tuple[float, float]:
+    """log(V0 + V1) and log(V0 - V1) of a light-like V; the smaller of the
+    two comes from V0^2 - V1^2 = V2^2, so that it does not cancel."""
+    big = vec[0] + abs(vec[1])
+    if not big > 0.0:  # P - T cancels at a start within rounding of the rim
+        raise OutsideDomainError("start too close to the slice boundary to follow in float64")
+    small = vec[2] * vec[2] / big
+    logs = (math.log(big), math.log(small) if small > 0.0 else -math.inf)
+    return logs if vec[1] >= 0.0 else logs[::-1]
+
+
+class _Chord:
+    """The chord of a geodesic, from psi and eta at the start and their
+    derivatives along the unit tangent."""
+
+    def __init__(self, psi0: float, eta0: float, dpsi0: float, deta0: float):
+        kappa = 1.0 / math.sqrt(1.0 - eta0 * eta0)
+        lift = np.array([math.cosh(psi0), math.sinh(psi0), eta0])
+        start = kappa * lift
+        motion = kappa * np.array([lift[1] * dpsi0, lift[0] * dpsi0, deta0])
+        motion += kappa ** 3 * eta0 * deta0 * lift
+        motion -= _minkowski(motion, start) * start
+        tangent = motion / math.sqrt(-_minkowski(motion, motion))
+        self.a2, self.b2 = start[2] + tangent[2], start[2] - tangent[2]
+        # log(A0 + A1), log(A0 - A1) and the same for B
+        self.log_a = _light_cone_logs(start + tangent)
+        self.log_b = _light_cone_logs(start - tangent)
+
+    def at(self, s: np.ndarray):
+        """psi, eta and their derivatives in s at the arc lengths s."""
+        sigma = s / _SQRT2
+        logs, rates = [], []
+        for log_a, log_b in zip(self.log_a, self.log_b):
+            grow, decay = log_a + sigma, log_b - sigma
+            logs.append(np.logaddexp(grow, decay) - _LOG2)  # log(X0 +- X1)
+            rates.append(np.tanh(0.5 * (grow - decay)))     # its sigma-derivative
+        psi = 0.5 * (logs[0] - logs[1])
+        log_norm = 0.5 * (logs[0] + logs[1])  # log sqrt(X0^2 - X1^2)
+        grow = 0.5 * self.a2 * np.exp(sigma - log_norm)
+        decay = 0.5 * self.b2 * np.exp(-sigma - log_norm)
+        eta = grow + decay
+        dpsi = 0.5 * (rates[0] - rates[1]) / _SQRT2
+        deta = (grow - decay - 0.5 * eta * (rates[0] + rates[1])) / _SQRT2
+        return psi, eta, dpsi, deta
+
+    def cut(self, psi_lim: float) -> float:
+        """Arc length at which psi reaches psi_lim, or nan if it does not.
+
+        Solves (X0 + X1) = e^(2 psi_lim) (X0 - X1) for e^(2 sigma), in logs
+        so that nothing overflows.
+        """
+        ahead = 0 if psi_lim > 0.0 else 1  # the sign of X1 the chord runs to
+        two_l = 2.0 * abs(psi_lim)
+        num = math.exp(self.log_b[1 - ahead]) - math.exp(self.log_b[ahead] - two_l)
+        den = math.exp(self.log_a[ahead]) - math.exp(self.log_a[1 - ahead] + two_l)
+        if not (num > 0.0 and den > 0.0):
+            return math.nan
+        return _SQRT2 * 0.5 * (two_l + math.log(num) - math.log(den))
+
+
+class _PsiMarch:
+    """The inverse of psi along a chord, marched sample by sample.
+
+    psi is monotone along a chord.  Each sample solves psi(u) = target by a
+    safeguarded Newton iteration: psi_increment from the last point where
+    psi was integrated, the density as the derivative, a cubic Hermite
+    predictor through the last two samples, and a bracket that reaches out
+    to +-u_lim.
+    """
+
+    def __init__(self, profile: Profile, u: float, psi0: float, u_lim: float):
+        self.profile = profile
+        self.u_lim = u_lim
+        self.base = (u, psi0, density(profile, u))  # psi integrated here
+        self.last = self.base  # (u, psi, density) of the last sample
+        self.before = None     # the same of the sample before it
+        self.psi_lim = math.nan
+
+    def step(self, target: float):
+        """(u, density at u) with psi(u) = target, or None when target lies
+        past psi(+-u_lim); psi_lim then holds that value."""
+        profile = self.profile
+        ub, pb, rb = self.base
+        if target == pb:
+            return ub, rb
+        up = target > pb
+        lim = self.u_lim if up else -self.u_lim
+        lo, hi = (ub, lim) if up else (lim, ub)
+        u1, p1, r1 = self.last
+        dp = target - p1
+        u = u1 + dp / r1 if r1 > 0.0 else u1
+        if self.before is not None and r1 > 0.0 and self.before[2] > 0.0 \
+                and self.before[1] != p1:
+            # cubic Hermite through the last two samples, u as a function of psi
+            u0, p0, r0 = self.before
+            h = p0 - p1
+            gap = (u0 - u1 - h / r1) / h
+            cubic = (1.0 / r0 - 1.0 / r1 - 2.0 * gap) / (h * h)
+            u += dp * dp * (gap / h - cubic * h + cubic * dp)
+        if not lo < u < hi and rb > 0.0:  # the base lies past the last sample
+            u = ub + (target - pb) / rb
+        lim_known = False
+        for steps in range(1, _MARCH_STEPS + 1):
+            closed = lim_known or lim not in (lo, hi)
+            if not lo < u < hi:
+                u = 0.5 * (lo + hi) if closed else lim
+            p = pb + psi_increment(profile, ub, u)
+            r = density(profile, u)
+            if u == lim and not lim_known:
+                if (p < target) if up else (p > target):
+                    self.psi_lim = p
+                    return None
+                lim_known = True
+            if p < target:
+                lo = u
+            elif p > target:
+                hi = u
+            residual = target - p
+            delta = residual / r if r > 0.0 else math.inf
+            new = u + delta
+            slope = (r - rb) / (u - ub) if u != ub else math.inf
+            if delta == 0.0 or steps == _MARCH_STEPS or (
+                    lo <= new <= hi and abs(residual) <= _NEWTON_RESIDUAL
+                    and 0.5 * abs(slope) * delta * delta <= PSI_TOL):
+                rho = density(profile, new)
+                self.base = (u, p, r)
+                self.before = self.last
+                self.last = (new, target, rho)
+                return new, rho
+            if closed and abs(residual) > _NEWTON_RESIDUAL and abs(delta) < 1e-6 * (hi - lo):
+                new = 0.5 * (lo + hi)  # Newton crawls on the steep side of a bound
+            u = new
+
+
+def _u_limit(b: float, u0: float) -> float:
+    """How far |u| may go: ESCAPE_RADIUS when b = inf (a chord that gets
+    there is taken to leave for infinity), else the largest float whose
+    square stays below b."""
+    if math.isinf(b):
+        return max(ESCAPE_RADIUS, abs(u0))
+    u = math.sqrt(b)
+    while u * u >= b:
+        u = math.nextafter(u, 0.0)
+    return u
+
+
+def _chord_samples(profile: Profile, chord: _Chord, march: _PsiMarch, s, s_prev):
+    """Points, tangents and energies at the arc lengths s, with the flag
+    set when the geodesic stops before the last of them.
+
+    It stops where u reaches +-u_lim, cut exactly on the chord, or at the
+    first sample float64 cannot represent.  s_prev is the arc length of the
+    sample before s[0] (-inf for none).
+    """
+    psi, eta, dpsi, deta = chord.at(s)
+    us, rhos = [], []
+    for target in psi:
+        got = march.step(target)
+        if got is None:
+            break
+        us.append(got[0])
+        rhos.append(got[1])
+    stopped = len(us) < len(s)
+    if stopped:
+        s_cut = min(chord.cut(march.psi_lim), s[len(us)])
+        s = s[:len(us)]
+        if s_cut > (s[-1] if len(s) else s_prev):
+            s = np.append(s, s_cut)
+            us.append(math.copysign(march.u_lim, march.psi_lim))
+            rhos.append(density(profile, us[-1]))
+        _, eta, dpsi, deta = chord.at(s)
+    u = np.array(us)
+    t = u * u
+    f = np.array([profile.f(x) for x in t])
+    sqrt_f = np.sqrt(np.maximum(f, 0.0))
+    v = eta * sqrt_f
+    w = f - v * v
+    ok = (t < profile.b) & (w > _GAP_REL * f) & (w > _GAP_MIN)
+    if not ok.all():
+        stopped = True
+        keep = int(np.argmin(ok))
+        s, u, t, f, sqrt_f, v, w = (x[:keep] for x in (s, u, t, f, sqrt_f, v, w))
+        eta, dpsi, deta, rhos = eta[:keep], dpsi[:keep], deta[:keep], rhos[:keep]
+    f1 = np.array([profile.f1(x) for x in t])
+    f2 = np.array([profile.f2(x) for x in t])
+    du = dpsi / np.array(rhos)
+    dv = sqrt_f * (deta + eta * u * (f1 / f) * du)
+    energies = 2.0 / (w * w) * (
+        slice_c(t, f1, f2, w) * du * du - 2.0 * f1 * u * v * du * dv + f * dv * dv
+    )
+    return s, np.column_stack((u, v)), np.column_stack((du, dv)), energies, stopped
+
+
 def integrate_geodesic(
     profile: Profile,
     start: SlicePoint,
     direction,
     length: float,
 ) -> GeodesicTrace:
-    """Integrate the geodesic equations on the slice, unit-speed normalized.
+    """The unit-speed geodesic from start along direction, in closed form.
 
-    Embedded Runge-Kutta 4(5) with dense output; stops early, with the
-    boundary flag set, when f(u^2) - v^2 falls below BOUNDARY_STOP * f(0),
-    when u^2 approaches a finite bound b, or when the coordinates escape
-    beyond ESCAPE_RADIUS (incomplete domains reach infinity in finite
-    arc length).  The trace is resampled at SAMPLES_PER_UNIT points per
-    unit of arc length.
+    The geodesic is the chord of the Beltrami-Klein image (see above),
+    sampled at SAMPLES_PER_UNIT points per unit of arc length, at least 8.
+    It runs its full length, except that it stops, with the boundary flag
+    set, where the chord leaves the slice's image or float64 runs out:
+    where |u| reaches ESCAPE_RADIUS (b = inf; incomplete domains reach
+    infinity in finite arc length), where no u with u^2 < b reaches the
+    chord's psi, or where f(u^2) - v^2 falls below what float64 resolves.
     """
     require_inside_slice(profile, start)
     direction = np.asarray(direction, dtype=float)
@@ -169,90 +392,51 @@ def integrate_geodesic(
         raise ValueError("direction must be a finite 2-vector")
     if not np.any(direction):
         raise ValueError("direction must be nonzero")
-    if not length > 0:
-        raise ValueError("length must be positive")
+    if not 0.0 < length < math.inf:
+        raise ValueError("length must be positive and finite")
 
     g0 = slice_metric(profile, start)
     speed_sq = g0.inner(direction, direction)
     if speed_sq <= 0:
         raise DegenerateMetricError("metric not positive along the initial direction")
-    unit = direction / math.sqrt(speed_sq)
+    du, dv = direction / math.sqrt(speed_sq)
 
-    b = profile.b
-    t_cap = None if math.isinf(b) else b * (1.0 - 1e-12)
-    guard_abs = BOUNDARY_STOP * profile.f(0.0)
+    u0, v0 = start.u, start.v
+    f0 = profile.f(u0 * u0)
+    eta0 = v0 / math.sqrt(f0)
+    psi0 = psi_increment(profile, 0.0, u0)
+    march = _PsiMarch(profile, u0, psi0, _u_limit(profile.b, u0))
+    rho0 = march.base[2]
+    deta0 = dv / math.sqrt(f0) - eta0 * u0 * profile.f1(u0 * u0) / f0 * du
+    chord = _Chord(psi0, eta0, rho0 * du, deta0)
 
-    def clamped_t(u: float) -> float:
-        t = u * u
-        if t_cap is not None and t > t_cap:
-            return t_cap  # trial steps may probe past the bound; keep f evaluable
-        return t
-
-    def rhs(_s, y):
-        u, v, du, dv = y
-        _det, g111, g211, g112, g212, g222 = _christoffel_closed_terms(
-            profile, clamped_t(u), u, v
-        )
-        ddu = -(g111 * du * du + 2.0 * g112 * du * dv)
-        ddv = -(g211 * du * du + 2.0 * g212 * du * dv + g222 * dv * dv)
-        return (du, dv, ddu, ddv)
-
-    def boundary_event(_s, y):
-        u, v = y[0], y[1]
-        return profile.f(clamped_t(u)) - v * v - guard_abs
-
-    boundary_event.terminal = True
-    boundary_event.direction = -1
-    events = [boundary_event]
-
-    if t_cap is not None:
-        def bound_event(_s, y):
-            return t_cap * (1.0 - 1e-6) - y[0] * y[0]
-
-        bound_event.terminal = True
-        bound_event.direction = -1
-        events.append(bound_event)
-
-    def escape_event(_s, y):
-        return ESCAPE_RADIUS * ESCAPE_RADIUS - (y[0] * y[0] + y[1] * y[1])
-
-    escape_event.terminal = True
-    escape_event.direction = -1
-    events.append(escape_event)
-
-    y0 = (start.u, start.v, unit[0], unit[1])
-    sol = solve_ivp(
-        rhs,
-        (0.0, length),
-        y0,
-        method="RK45",
-        rtol=GEODESIC_RTOL,
-        atol=GEODESIC_ATOL,
-        dense_output=True,
-        events=events,
-    )
-    if sol.status == -1:
-        raise GeodesicIntegrationError(
-            f"integration failed at s={sol.t[-1]}, state={sol.y[:, -1]}: {sol.message}"
-        )
-    boundary_hit = sol.status == 1
-    s_end = sol.t[-1]
-    n_samples = max(8, int(round(SAMPLES_PER_UNIT * s_end)) + 1)
-    s_grid = np.linspace(0.0, s_end, n_samples)
-    states = sol.sol(s_grid)
-    points = states[:2].T.copy()
-    tangents = states[2:].T.copy()
-    energies = np.empty(n_samples)
-    for i in range(n_samples):
-        g = slice_metric(profile, SlicePoint(points[i, 0], points[i, 1]))
-        energies[i] = g.inner(tangents[i], tangents[i])
+    n_samples = max(8, int(round(SAMPLES_PER_UNIT * length)) + 1)
+    spacing = length / (n_samples - 1)
+    parts = []
+    s_prev = -math.inf
+    for first in range(0, n_samples, _BLOCK):
+        s = np.arange(first, min(n_samples, first + _BLOCK)) * spacing
+        if first + _BLOCK >= n_samples:
+            s[-1] = length
+        *part, stopped = _chord_samples(profile, chord, march, s, s_prev)
+        parts.append(part)
+        if stopped:
+            break
+        s_prev = part[0][-1]
+    s, points, tangents, energies = (np.concatenate(group) for group in zip(*parts))
+    if stopped and len(s) < 8:
+        # a stop within a few samples of the start: sample that stretch anew
+        if len(s) < 2:
+            raise OutsideDomainError("the geodesic leaves float64 range at its start")
+        short = integrate_geodesic(profile, start, direction, float(s[-1]))
+        return dataclasses.replace(short, boundary_hit=True)
     return GeodesicTrace(
-        s=s_grid,
+        s=s,
         points=points,
         tangents=tangents,
         energies=energies,
         energy=1.0,
-        boundary_hit=boundary_hit,
+        boundary_hit=stopped,
     )
 
 
@@ -365,9 +549,16 @@ def self_intersection_check(
     Computes the minimum distance between every pair of non-adjacent
     segments (index gap larger than SCREEN_WINDOW) and passes when each pair
     stays farther apart than guard times the local sample spacing.
+
+    Exact segment distances are computed only for the pairs that can hold
+    the worst margin.  A pair's distance lies between |m_i - m_j| - (l_i +
+    l_j)/2 and |m_i - m_j| (m the midpoints, l the lengths), so its margin
+    lies between the bounds LB and UB below; the worst pair has LB <= min UB.
     """
     if len(trace) < 4:
         raise ValueError("trace needs at least 4 samples for the screen")
+    if not guard >= 0.0:
+        raise ValueError("guard must be non-negative")
     pts = trace.points
     seg_a = pts[:-1]
     seg_b = pts[1:]
@@ -376,10 +567,19 @@ def self_intersection_check(
     idx_i, idx_j = np.triu_indices(n_seg, k=SCREEN_WINDOW + 1)
     if len(idx_i) == 0:
         return SelfIntersectionReport(True, math.inf, (-1, -1), 0.0)
-    dists = _segment_distances(seg_a[idx_i], seg_b[idx_i], seg_a[idx_j], seg_b[idx_j])
+    mid_u, mid_v = 0.5 * (seg_a + seg_b).T
+    len_i, len_j = seg_len[idx_i], seg_len[idx_j]
     # local sample spacing of a pair: the finer of the two segments, so that
     # a long far-away segment cannot dominate the threshold of a short one
-    spacing = np.minimum(seg_len[idx_i], seg_len[idx_j])
+    spacing = np.minimum(len_i, len_j)
+    upper = np.hypot(mid_u[idx_i] - mid_u[idx_j], mid_v[idx_i] - mid_v[idx_j])
+    upper -= guard * spacing
+    lower = upper - 0.5 * (len_i + len_j)
+    # the slack covers the rounding of the bounds; nan keeps every pair
+    slack = 1e-9 * (1.0 + float(np.max(np.abs(pts))))
+    keep = np.flatnonzero(~(lower > np.min(upper) + slack))
+    idx_i, idx_j, spacing = idx_i[keep], idx_j[keep], spacing[keep]
+    dists = _segment_distances(seg_a[idx_i], seg_b[idx_i], seg_a[idx_j], seg_b[idx_j])
     margin = dists - guard * spacing
     worst = int(np.argmin(margin))
     return SelfIntersectionReport(
@@ -437,7 +637,7 @@ def straightline_residual_algebraic(profile: Profile, k: float, u: float) -> flo
     f1 = profile.f1(t)
     f2 = profile.f2(t)
     w = f - v * v
-    c = f1 * f1 * t - (f1 + f2 * t) * w
+    c = slice_c(t, f1, f2, w)
     det = 4.0 * (c * f - f1 * f1 * t * v * v) / (w * w * w * w)
     denom = det * (k * k * u * u - f) ** 3
     return -4.0 * k * u * residual_ode(profile, t) / denom

@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from .curvature import FAMILY_HYPERBOLIC, classify_profile
 from .metric import (
     DomainPoint,
@@ -30,7 +28,7 @@ from .metric import (
     require_inside,
     require_inside_slice,
 )
-from .profile import Profile, kcond
+from .profile import Profile, density, kcond, psi_increment
 
 VERDICT_COMPLETE = "complete"
 VERDICT_INCOMPLETE = "incomplete"
@@ -44,8 +42,6 @@ _FINITE_CONVERGENT_SLOPE = -0.90
 _INFINITE_DIVERGENT_SLOPE = -0.95
 _INFINITE_CONVERGENT_SLOPE = -1.05
 _SLOPE_SPREAD_TOL = 0.25
-_PSI_EPSABS = 1e-12
-_PSI_EPSREL = 1e-11
 _INTEGRAL_EPSABS = 1e-10
 
 
@@ -63,34 +59,13 @@ def completeness_integrand(profile: Profile, u: float) -> float:
     return math.sqrt(value)
 
 
-def _integrand_clamped(profile: Profile, u: float) -> float:
-    # Quadrature-facing variant.  Two roundoff guards: far in the tail the
-    # density cancels to noise and may round marginally negative (clamp to
-    # zero), and u*u may round one ulp past a finite bound when quadrature
-    # nodes crowd the endpoint (pull back inside).  Validity of the profile
-    # is the caller's precondition.
-    t = u * u
-    if t >= profile.b:
-        t = math.nextafter(profile.b, 0.0)
-    return math.sqrt(max(-kcond(profile, t), 0.0))
-
-
 def psi(profile: Profile, u: float) -> float:
-    """Odd, strictly increasing radial coordinate: quadrature of the density."""
+    """Odd, strictly increasing radial coordinate: the integral of the
+    density from 0 to u, on Gauss-Legendre panels graded toward sqrt(b)."""
     sqrt_b = math.sqrt(profile.b) if math.isfinite(profile.b) else math.inf
     if abs(u) >= sqrt_b:
         raise ValueError(f"|u|={abs(u)} outside (-sqrt(b), sqrt(b))")
-    if u == 0.0:
-        return 0.0
-    value, _err = quad(
-        lambda s: _integrand_clamped(profile, s),
-        0.0,
-        abs(u),
-        epsabs=_PSI_EPSABS,
-        epsrel=_PSI_EPSREL,
-        limit=200,
-    )
-    return math.copysign(value, u)
+    return psi_increment(profile, 0.0, u)
 
 
 def psi_map(profile: Profile, sp: SlicePoint) -> tuple[float, float]:
@@ -205,8 +180,11 @@ def completeness(profile: Profile) -> CompletenessReport:
         diagnostics["reason"] = "tail exponent estimate inconclusive"
         return CompletenessReport(verdict, math.nan, diagnostics)
 
+    # the one scipy use of the package, imported only where it is needed
+    from scipy.integrate import quad
+
     value, err = quad(
-        lambda s: _integrand_clamped(profile, s),
+        lambda s: density(profile, s),
         0.0,
         upper,
         epsabs=_INTEGRAL_EPSABS,

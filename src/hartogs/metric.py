@@ -156,14 +156,19 @@ def riemannian_inner(h: np.ndarray, x, y) -> float:
     return float(2.0 * np.real(x @ h @ np.conj(y)))
 
 
+def slice_c(t, f1, f2, w):
+    """c = f1^2 t - (f1 + f2 t) w, with g11 = 2c/w^2 and
+    det g * w^4 = 4 (c f - f1^2 t v^2); floats or numpy arrays."""
+    return f1 * f1 * t - (f1 + f2 * t) * w
+
+
 def slice_metric(profile: Profile, sp: SlicePoint) -> SliceMetric:
     """Closed-form induced metric on the slice at (u, v)."""
     w = require_inside_slice(profile, sp)
     t = sp.u * sp.u
     f = profile.f(t)
     f1 = profile.f1(t)
-    f2 = profile.f2(t)
-    c = f1 * f1 * t - (f1 + f2 * t) * w
+    c = slice_c(t, f1, profile.f2(t), w)
     w2 = w * w
     return SliceMetric(2.0 * c / w2, -2.0 * f1 * sp.u * sp.v / w2, 2.0 * f / w2)
 
@@ -232,7 +237,7 @@ def slice_metric_jet(profile: Profile, sp: SlicePoint) -> SliceMetricJet:
     w3 = w2 * w
     w4 = w3 * w
 
-    c = f1 * f1 * t - (f1 + f2 * t) * w
+    c = slice_c(t, f1, f2, w)
     c_u = 2.0 * u * (f1 * f2 * t - (2.0 * f2 + t * f3) * w)
     c_v = 2.0 * v * (f1 + f2 * t)
     c_vv = 2.0 * (f1 + f2 * t)

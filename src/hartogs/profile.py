@@ -38,6 +38,18 @@ from .expressions import (
 DEFAULT_GRID_SIZE = 1024
 DEFAULT_T_MAX = 50.0
 _GRID_MARGIN = 1e-9
+# Gauss-Legendre rule of order 6 on [-1, 1]: the positive nodes with their
+# weights (the rule is symmetric).
+_GL6 = (
+    (0.2386191860831969, 0.46791393457269104),
+    (0.6612093864662645, 0.3607615730481387),
+    (0.9324695142031519, 0.17132449237917027),
+)
+# A psi panel is at most PSI_PANEL_WIDTH * max(1, |u|) wide and spans at most
+# PSI_PANEL_RATIO of its distance to sqrt(b), so that panels grade
+# geometrically toward a finite bound, where the density blows up.
+PSI_PANEL_WIDTH = 0.125
+PSI_PANEL_RATIO = 0.2
 
 
 class Profile:
@@ -134,6 +146,52 @@ def kcond(profile: Profile, t: float) -> float:
     """
     _check_range(profile, t)
     return profile._kcond_fn(t)
+
+
+def density(profile: Profile, u: float) -> float:
+    """sqrt(-kcond(u^2)): the derivative of psi, the arc-length density of
+    the u-axis up to sqrt(2).
+
+    Validity of the profile is the caller's precondition.  Two roundoff
+    guards: far in the tail the density cancels to noise and may round
+    marginally negative (clamped to zero), and u*u may round one ulp past a
+    finite bound (pulled back inside).
+    """
+    t = u * u
+    if t >= profile.b:
+        t = math.nextafter(profile.b, 0.0)
+    return math.sqrt(max(-profile._kcond_fn(t), 0.0))
+
+
+def psi_increment(profile: Profile, a: float, c: float) -> float:
+    """psi(c) - psi(a): the integral of the density over [a, c].
+
+    Gauss-Legendre panels laid outward from the end nearer the origin (the
+    density is even), each within PSI_PANEL_WIDTH and PSI_PANEL_RATIO.  A
+    short interval is one panel; toward a finite bound the panels shrink
+    geometrically.  Both ends lie in (-sqrt(b), sqrt(b)).
+    """
+    if a * c < 0.0:
+        return psi_increment(profile, a, 0.0) + psi_increment(profile, 0.0, c)
+    if abs(c) < abs(a):
+        return -psi_increment(profile, c, a)
+    x, end = abs(a), abs(c)
+    sqrt_b = math.sqrt(profile.b)
+    total = 0.0
+    while x < end:
+        width = min(PSI_PANEL_WIDTH * max(1.0, x), PSI_PANEL_RATIO * (sqrt_b - x))
+        right = min(end, x + width)
+        if not right > x:  # within an ulp or two of sqrt(b)
+            right = end
+        half = 0.5 * (right - x)
+        mid = 0.5 * (right + x)
+        panel = 0.0
+        for node, weight in _GL6:
+            panel += weight * (density(profile, mid - half * node)
+                               + density(profile, mid + half * node))
+        total += half * panel
+        x = right
+    return math.copysign(total, c)
 
 
 def _check_range(profile: Profile, t: float):

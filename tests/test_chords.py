@@ -1,0 +1,217 @@
+"""Geodesics as Beltrami-Klein chords, checked against independent routes:
+RK45 on the geodesic equations, scipy's quad for psi, and the all-pairs
+self-intersection screen."""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+from scipy.integrate import IntegrationWarning, quad, solve_ivp
+
+from hartogs import (
+    OutsideDomainError,
+    SlicePoint,
+    integrate_geodesic,
+    parse_profile,
+    psi,
+    self_intersection_check,
+    slice_metric,
+)
+from hartogs.connection import (
+    SCREEN_WINDOW,
+    GeodesicTrace,
+    SelfIntersectionReport,
+    _christoffel_closed_terms,
+    _segment_distances,
+)
+from hartogs.profile import density
+
+DIRECTIONS = [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (-0.8, 0.3)]
+
+
+def _starts(family):
+    """The origin and two interior points of the slice."""
+    p = family.profile
+    u1, u2 = 0.3 * family.u_window, -0.5 * family.u_window
+    return [
+        SlicePoint(0.0, 0.0),
+        SlicePoint(u1, 0.2 * math.sqrt(p.f(u1 * u1))),
+        SlicePoint(u2, -0.4 * math.sqrt(p.f(u2 * u2))),
+    ]
+
+
+def _rk45_points(profile, start, direction, s):
+    """The geodesic equations integrated by RK45, sampled at the arc lengths s."""
+
+    def rhs(_s, y):
+        u, v, du, dv = y
+        _det, g111, g211, g112, g212, g222 = _christoffel_closed_terms(profile, u * u, u, v)
+        return (
+            du,
+            dv,
+            -(g111 * du * du + 2.0 * g112 * du * dv),
+            -(g211 * du * du + 2.0 * g212 * du * dv + g222 * dv * dv),
+        )
+
+    g0 = slice_metric(profile, start)
+    d = np.asarray(direction, dtype=float)
+    d = d / math.sqrt(g0.inner(d, d))
+    sol = solve_ivp(rhs, (0.0, s[-1]), (start.u, start.v, d[0], d[1]), method="RK45",
+                    rtol=1e-10, atol=1e-12, dense_output=True)
+    assert sol.status == 0, sol.message
+    return sol.sol(s)[:2].T
+
+
+def _brute_force_screen(trace, guard=0.5):
+    """The screen over every pair of non-adjacent segments, unpruned."""
+    pts = trace.points
+    seg_a, seg_b = pts[:-1], pts[1:]
+    seg_len = np.linalg.norm(seg_b - seg_a, axis=1)
+    idx_i, idx_j = np.triu_indices(len(seg_a), k=SCREEN_WINDOW + 1)
+    dists = _segment_distances(seg_a[idx_i], seg_b[idx_i], seg_a[idx_j], seg_b[idx_j])
+    spacing = np.minimum(seg_len[idx_i], seg_len[idx_j])
+    margin = dists - guard * spacing
+    worst = int(np.argmin(margin))
+    return SelfIntersectionReport(
+        passed=bool(np.all(margin > 0.0)),
+        min_distance=float(dists[worst]),
+        min_pair=(int(idx_i[worst]), int(idx_j[worst])),
+        threshold_at_min=float(guard * spacing[worst]),
+    )
+
+
+def _figure_eight():
+    t = np.linspace(0.0, 2.0 * math.pi, 81)
+    pts = np.column_stack([0.25 * np.sin(2 * t), 0.5 * np.sin(t)])
+    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    s = np.concatenate([[0.0], np.cumsum(seg)])
+    return GeodesicTrace(s=s, points=pts, tangents=np.gradient(pts, s, axis=0),
+                         energies=np.ones(len(pts)), energy=1.0, boundary_hit=False)
+
+
+class TestAgainstRK45:
+    def test_battery_starts_and_directions(self, battery):
+        worst = 0.0
+        for family in battery:
+            for start in _starts(family):
+                for direction in DIRECTIONS:
+                    trace = integrate_geodesic(family.profile, start, direction, 4.0)
+                    reference = _rk45_points(family.profile, start, direction, trace.s)
+                    # relative past |u| = 1: an escaping ray reaches u = 50,
+                    # where RK45 at rtol 1e-10 is good to about 1e-9 relative
+                    scale = np.maximum(1.0, np.abs(reference))
+                    miss = float(np.max(np.abs(trace.points - reference) / scale))
+                    assert miss <= 1e-8, (family.name, start, direction, miss)
+                    worst = max(worst, miss)
+        assert worst > 0.0  # the two routes are independent
+
+
+class TestStops:
+    @pytest.mark.parametrize("source, b, angle, length", [
+        ("exp(-t)", math.inf, 0.0, 12.0),
+        ("exp(-t)", math.inf, 0.05, 12.0),
+        ("1.3*exp(-0.8*t)", math.inf, math.pi, 12.0),
+        ("1 - t", 1.0, 0.0, 11.0),
+        ("1.5 - 0.7*t", 1.5 / 0.7, 0.0, 11.0),
+        ("(1.8 - 0.6*t)^2", 3.0, 0.0, 11.0),
+    ])
+    def test_complete_domain_reaches_full_length(self, source, b, angle, length):
+        p = parse_profile(source, b, 2)
+        trace = integrate_geodesic(
+            p, SlicePoint(0.0, 0.0), (math.cos(angle), math.sin(angle)), length
+        )
+        assert not trace.boundary_hit
+        assert trace.s[-1] == length
+        assert np.max(np.abs(trace.energies - 1.0)) <= 1e-9
+
+    def test_escape_is_cut_on_the_chord(self):
+        # along the u-axis the chord ends exactly where u = ESCAPE_RADIUS
+        p = parse_profile("(1 + 0.9*t)^(-2)", math.inf, 2)
+        trace = integrate_geodesic(p, SlicePoint(0.0, 0.0), (1.0, 0.0), 10.0)
+        assert trace.boundary_hit
+        assert trace.points[-1, 0] == 50.0
+        assert trace.s[-1] == pytest.approx(math.sqrt(2.0) * psi(p, 50.0), rel=1e-10)
+
+    def test_finite_bound_arc_is_sqrt2_times_completeness_integral(self):
+        # the truncated ball is incomplete: the u-axis reaches u = 1/2 at
+        # arc length sqrt(2) * artanh(1/2)
+        p = parse_profile("1 - t", 0.25, 2)
+        trace = integrate_geodesic(p, SlicePoint(0.0, 0.0), (1.0, 0.0), 5.0)
+        assert trace.boundary_hit
+        assert trace.s[-1] == pytest.approx(math.sqrt(2.0) * math.atanh(0.5), rel=1e-9)
+        assert trace.points[-1, 0] ** 2 < 0.25
+
+    def test_float_exhaustion_stops_inside(self):
+        # far along any ray the slice gap f - v^2 drops below float
+        # resolution: the trace stops there, every sample inside the slice
+        p = parse_profile("1 - t", 1.0, 2)
+        trace = integrate_geodesic(p, SlicePoint(0.0, 0.0), (0.6, 0.8), 100.0)
+        assert trace.boundary_hit
+        assert 14.0 < trace.s[-1] < 100.0
+        u, v = trace.points.T
+        assert np.all(v * v < 1.0 - u * u)
+        assert np.all(np.isfinite(trace.energies))
+
+    def test_stop_next_to_the_start_keeps_eight_samples(self):
+        p = parse_profile("(1 + t)^(-2)", math.inf, 2)
+        trace = integrate_geodesic(p, SlicePoint(49.99, 0.0), (1.0, 0.0), 1.0)
+        assert trace.boundary_hit
+        assert len(trace) == 8
+        assert trace.points[-1, 0] == 50.0
+        assert self_intersection_check(trace).passed
+
+    def test_start_within_rounding_of_the_rim_rejected(self):
+        p = parse_profile("1e6 - t", 1e6, 2)
+        with pytest.raises(OutsideDomainError):
+            integrate_geodesic(p, SlicePoint(0.0, 999.9999999999), (0.0, 1.0), 1.0)
+
+    def test_infinite_length_rejected(self):
+        p = parse_profile("1 - t", 1.0, 2)
+        with pytest.raises(ValueError):
+            integrate_geodesic(p, SlicePoint(0.0, 0.0), (1.0, 1.0), math.inf)
+
+
+class TestPsiAgainstQuad:
+    def test_battery_points(self, battery):
+        rng = np.random.default_rng(20261018)
+        checked = 0
+        for family in battery:
+            p = family.profile
+            us = list(rng.uniform(-family.u_window, family.u_window, 21))
+            if math.isfinite(p.b):
+                # within 1e-6 of sqrt(b), on both sides of the origin
+                sqrt_b = math.sqrt(p.b)
+                us += [s * (sqrt_b - d) for s, d in zip((1, -1, 1, -1), rng.uniform(1e-7, 1e-6, 4))]
+            else:
+                us += list(rng.uniform(2.0, 30.0, 4))
+            for u in us:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", IntegrationWarning)
+                    ref, _err = quad(lambda x: density(p, x), 0.0, abs(u),
+                                     epsabs=1e-14, epsrel=1e-13, limit=500)
+                ref = math.copysign(ref, u)
+                assert abs(psi(p, u) - ref) <= 1e-10 * max(1.0, abs(ref)), (family.name, u)
+                checked += 1
+        assert checked == 100
+
+
+class TestPrunedScreen:
+    def test_equals_brute_force_on_fans(self, battery):
+        for family in battery:
+            for k in range(8):
+                angle = 2.0 * math.pi * k / 8
+                trace = integrate_geodesic(family.profile, SlicePoint(0.0, 0.0),
+                                           (math.cos(angle), math.sin(angle)), 8.0)
+                for guard in (0.0, 0.5, 3.0):
+                    assert self_intersection_check(trace, guard) == _brute_force_screen(trace, guard)
+
+    def test_equals_brute_force_on_figure_eight(self):
+        trace = _figure_eight()
+        report = self_intersection_check(trace)
+        assert not report.passed
+        assert report == _brute_force_screen(trace)
+
+    def test_negative_guard_rejected(self):
+        with pytest.raises(ValueError):
+            self_intersection_check(_figure_eight(), guard=-1.0)

@@ -257,6 +257,43 @@ class TestConfigAndDeterminism:
         assert first["report"]["samples"] != second["report"]["samples"]
 
 
+class TestOptionChecks:
+    def test_string_u_max_in_config_is_cast(self, capsys, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"F": "1 - t", "b": 1, "u_max": "0.5", "points": 3}))
+        code, report = run_json(capsys, "curvature", "--config", str(config))
+        assert code == EXIT_OK
+        assert report["config"]["options"]["u_max"] == 0.5
+        assert all(abs(sample["u"]) <= 0.5 for sample in report["report"]["samples"])
+
+    def test_integer_u_max_in_config_echoes_as_float(self, capsys, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"F": "1 - t", "b": 1, "u_max": 1, "points": 3}))
+        _, out = run(capsys, "curvature", "--config", str(config))
+        assert '"u_max": 1.0' in out
+
+    def test_option_of_the_wrong_shape_is_input_error(self, capsys, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"F": "1 - t", "b": 1, "length": [1]}))
+        assert main(["geodesic", "--config", str(config)]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_points_below_one_rejected(self, capsys, points):
+        code = main(["curvature", "--F", "1 - t", "--b", "1", "--points", points])
+        assert code == EXIT_INPUT
+
+    def test_negative_guard_rejected(self, capsys):
+        code = main(["geodesic", "--F", "1 - t", "--b", "1", "--guard", "-1"])
+        assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize("length", ["inf", "nan", "0", "-2"])
+    def test_length_must_be_positive_and_finite(self, capsys, length):
+        # a chord on a complete domain has no end to stop at
+        code = main(["geodesic", "--F", "1 - t", "--b", "1", "--dir", "1,1",
+                     "--length", length])
+        assert code == EXIT_INPUT
+
+
 # a value for every option a command declares; an option without one here
 # fails test_every_declared_option_is_accepted
 OPTION_VALUES = {
