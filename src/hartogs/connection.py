@@ -12,9 +12,7 @@ closed forms are validated against.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +25,9 @@ from .metric import (
     slice_metric,
     slice_metric_jet,
 )
-from .profile import Profile, density, psi_increment
+from .profile import GAP_REL, Profile, density, psi_increment
 
 DEGENERATE_DET_TOL = 1e-30
-ESCAPE_RADIUS = 50.0
 SAMPLES_PER_UNIT = 24.0
 SCREEN_WINDOW = 2
 
@@ -55,8 +52,9 @@ def _christoffel_closed_terms(profile: Profile, t: float, u: float, v: float):
     """(det, G111, G211, G112, G212, G222) at (u, v) with t = u^2.
 
     Total: a degenerate point gives det = 0 and nan symbols instead of an
-    exception, so the geodesic right-hand side can probe trial steps just
-    past the boundary (rejected by step control).
+    exception.  Only the RK45 oracle of the tests relies on that: its
+    right-hand side probes trial steps just past the boundary, which step
+    control rejects.
     """
     f = profile.f(t)
     f1 = profile.f1(t)
@@ -138,10 +136,11 @@ def christoffel_generic(profile: Profile, sp: SlicePoint) -> ChristoffelSlice:
 #     X(sigma) = (e^sigma A + e^-sigma B) / 2,    sigma = s / sqrt(2),
 #
 # with the light-like A = P + T and B = P - T made of the start P and the
-# unit tangent T.  So psi = (log(X0 + X1) - log(X0 - X1)) / 2 and
-# eta = X2 / sqrt(X0^2 - X1^2) come from sums of exponentials, without
-# cancellation, and u from psi by marching the inverse of psi sample by
-# sample.
+# unit tangent T.  So psi = (log(X0 + X1) - log(X0 - X1)) / 2, eta =
+# X2 / sqrt(X0^2 - X1^2) and the gap (f - v^2) / f = 1 / (X0^2 - X1^2) come
+# from sums of exponentials, without cancellation, and u from psi by marching
+# the inverse of psi.  The chord meets the edge |u| = u_edge where psi =
+# +-psi(u_edge), and the rim where X0^2 - X1^2 = 1 / GAP_REL.
 
 _SQRT2 = math.sqrt(2.0)
 _LOG2 = math.log(2.0)
@@ -150,12 +149,6 @@ PSI_TOL = 1e-11
 # Newton's step is trusted once the residual on psi is below this.
 _NEWTON_RESIDUAL = 1e-4
 _MARCH_STEPS = 60
-# Samples per vectorised stretch of the chord.
-_BLOCK = 256
-# The slice gap f - v^2 that float64 still resolves: above the rounding of
-# f itself, and with a normal square, as the metric divides by w^2.
-_GAP_REL = 4.0 * sys.float_info.epsilon
-_GAP_MIN = math.sqrt(sys.float_info.min)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,7 +199,8 @@ class _Chord:
         self.log_b = _light_cone_logs(start - tangent)
 
     def at(self, s: np.ndarray):
-        """psi, eta and their derivatives in s at the arc lengths s."""
+        """psi, eta, their derivatives in s and the relative slice gap
+        (f - v^2) / f at the arc lengths s."""
         sigma = s / _SQRT2
         logs, rates = [], []
         for log_a, log_b in zip(self.log_a, self.log_b):
@@ -220,21 +214,34 @@ class _Chord:
         eta = grow + decay
         dpsi = 0.5 * (rates[0] - rates[1]) / _SQRT2
         deta = (grow - decay - 0.5 * eta * (rates[0] + rates[1])) / _SQRT2
-        return psi, eta, dpsi, deta
+        return psi, eta, dpsi, deta, np.exp(-2.0 * log_norm)
 
-    def cut(self, psi_lim: float) -> float:
-        """Arc length at which psi reaches psi_lim, or nan if it does not.
+    def cut(self, level: float) -> float:
+        """Arc length at which psi reaches level, or inf if it does not.
 
-        Solves (X0 + X1) = e^(2 psi_lim) (X0 - X1) for e^(2 sigma), in logs
+        Solves (X0 + X1) = e^(2 level) (X0 - X1) for e^(2 sigma), in logs
         so that nothing overflows.
         """
-        ahead = 0 if psi_lim > 0.0 else 1  # the sign of X1 the chord runs to
-        two_l = 2.0 * abs(psi_lim)
+        ahead = 0 if level > 0.0 else 1  # the sign of X1 the chord runs to
+        two_l = 2.0 * abs(level)
         num = math.exp(self.log_b[1 - ahead]) - math.exp(self.log_b[ahead] - two_l)
         den = math.exp(self.log_a[ahead]) - math.exp(self.log_a[1 - ahead] + two_l)
         if not (num > 0.0 and den > 0.0):
-            return math.nan
+            return math.inf
         return _SQRT2 * 0.5 * (two_l + math.log(num) - math.log(den))
+
+    def rim(self, norm_sq: float) -> float:
+        """Arc length at which X0^2 - X1^2 grows to norm_sq, 0 if it starts
+        there.  4 (X0^2 - X1^2) = a z + C + c / z in z = e^(2 sigma), with
+        a = A2^2, c = B2^2 and C = (A0 + A1)(B0 - B1) + (A0 - A1)(B0 + B1).
+        """
+        a, c = self.a2 * self.a2, self.b2 * self.b2
+        mid = 4.0 * norm_sq - math.exp(self.log_a[0] + self.log_b[1]) \
+            - math.exp(self.log_a[1] + self.log_b[0])
+        if not mid > a + c:  # 4 (X0^2 - X1^2) = a + C + c at the start
+            return 0.0
+        root = mid + math.sqrt(mid * mid - 4.0 * a * c)  # 2 a z at the larger root
+        return _SQRT2 * 0.5 * math.log(root / (2.0 * a)) if a > 0.0 else math.inf
 
 
 class _PsiMarch:
@@ -244,7 +251,7 @@ class _PsiMarch:
     safeguarded Newton iteration: psi_increment from the last point where
     psi was integrated, the density as the derivative, a cubic Hermite
     predictor through the last two samples, and a bracket that reaches out
-    to +-u_lim.
+    to +-u_lim, past every target.
     """
 
     def __init__(self, profile: Profile, u: float, psi0: float, u_lim: float):
@@ -253,18 +260,14 @@ class _PsiMarch:
         self.base = (u, psi0, density(profile, u))  # psi integrated here
         self.last = self.base  # (u, psi, density) of the last sample
         self.before = None     # the same of the sample before it
-        self.psi_lim = math.nan
 
-    def step(self, target: float):
-        """(u, density at u) with psi(u) = target, or None when target lies
-        past psi(+-u_lim); psi_lim then holds that value."""
+    def step(self, target: float) -> tuple[float, float]:
+        """(u, density at u) with psi(u) = target."""
         profile = self.profile
         ub, pb, rb = self.base
         if target == pb:
             return ub, rb
-        up = target > pb
-        lim = self.u_lim if up else -self.u_lim
-        lo, hi = (ub, lim) if up else (lim, ub)
+        lo, hi = (ub, self.u_lim) if target > pb else (-self.u_lim, ub)
         u1, p1, r1 = self.last
         dp = target - p1
         u = u1 + dp / r1 if r1 > 0.0 else u1
@@ -278,18 +281,11 @@ class _PsiMarch:
             u += dp * dp * (gap / h - cubic * h + cubic * dp)
         if not lo < u < hi and rb > 0.0:  # the base lies past the last sample
             u = ub + (target - pb) / rb
-        lim_known = False
         for steps in range(1, _MARCH_STEPS + 1):
-            closed = lim_known or lim not in (lo, hi)
             if not lo < u < hi:
-                u = 0.5 * (lo + hi) if closed else lim
+                u = 0.5 * (lo + hi)
             p = pb + psi_increment(profile, ub, u)
             r = density(profile, u)
-            if u == lim and not lim_known:
-                if (p < target) if up else (p > target):
-                    self.psi_lim = p
-                    return None
-                lim_known = True
             if p < target:
                 lo = u
             elif p > target:
@@ -306,68 +302,34 @@ class _PsiMarch:
                 self.before = self.last
                 self.last = (new, target, rho)
                 return new, rho
-            if closed and abs(residual) > _NEWTON_RESIDUAL and abs(delta) < 1e-6 * (hi - lo):
+            if abs(residual) > _NEWTON_RESIDUAL and abs(delta) < 1e-6 * (hi - lo):
                 new = 0.5 * (lo + hi)  # Newton crawls on the steep side of a bound
             u = new
 
 
-def _u_limit(b: float, u0: float) -> float:
-    """How far |u| may go: ESCAPE_RADIUS when b = inf (a chord that gets
-    there is taken to leave for infinity), else the largest float whose
-    square stays below b."""
-    if math.isinf(b):
-        return max(ESCAPE_RADIUS, abs(u0))
-    u = math.sqrt(b)
-    while u * u >= b:
-        u = math.nextafter(u, 0.0)
-    return u
-
-
-def _chord_samples(profile: Profile, chord: _Chord, march: _PsiMarch, s, s_prev):
-    """Points, tangents and energies at the arc lengths s, with the flag
-    set when the geodesic stops before the last of them.
-
-    It stops where u reaches +-u_lim, cut exactly on the chord, or at the
-    first sample float64 cannot represent.  s_prev is the arc length of the
-    sample before s[0] (-inf for none).
-    """
-    psi, eta, dpsi, deta = chord.at(s)
-    us, rhos = [], []
-    for target in psi:
-        got = march.step(target)
-        if got is None:
-            break
-        us.append(got[0])
-        rhos.append(got[1])
-    stopped = len(us) < len(s)
-    if stopped:
-        s_cut = min(chord.cut(march.psi_lim), s[len(us)])
-        s = s[:len(us)]
-        if s_cut > (s[-1] if len(s) else s_prev):
-            s = np.append(s, s_cut)
-            us.append(math.copysign(march.u_lim, march.psi_lim))
-            rhos.append(density(profile, us[-1]))
-        _, eta, dpsi, deta = chord.at(s)
-    u = np.array(us)
+def _chord_samples(profile: Profile, chord: _Chord, march: _PsiMarch, s, u_end):
+    """Points, tangents and energies at the arc lengths s; u_end, unless
+    None, is the u of the last sample, where the chord crosses the edge."""
+    psi, eta, dpsi, deta, gap = chord.at(s)
+    steps = [march.step(target) for target in (psi if u_end is None else psi[:-1])]
+    if u_end is not None:
+        steps.append((u_end, density(profile, u_end)))
+    u, rho = np.array(steps).T
     t = u * u
-    f = np.array([profile.f(x) for x in t])
-    sqrt_f = np.sqrt(np.maximum(f, 0.0))
+    f, f1, f2 = (np.array([fn(x) for x in t]) for fn in (profile.f, profile.f1, profile.f2))
+    sqrt_f = np.sqrt(f)
+    w = f * gap
     v = eta * sqrt_f
-    w = f - v * v
-    ok = (t < profile.b) & (w > _GAP_REL * f) & (w > _GAP_MIN)
-    if not ok.all():
-        stopped = True
-        keep = int(np.argmin(ok))
-        s, u, t, f, sqrt_f, v, w = (x[:keep] for x in (s, u, t, f, sqrt_f, v, w))
-        eta, dpsi, deta, rhos = eta[:keep], dpsi[:keep], deta[:keep], rhos[:keep]
-    f1 = np.array([profile.f1(x) for x in t])
-    f2 = np.array([profile.f2(x) for x in t])
-    du = dpsi / np.array(rhos)
+    # near the rim eta carries more rounding than the gap left to it, while
+    # f - w keeps v^2 below f in float64
+    near = gap < 0.5
+    v[near] = np.copysign(np.sqrt(f[near] - w[near]), eta[near])
+    du = dpsi / rho
     dv = sqrt_f * (deta + eta * u * (f1 / f) * du)
     energies = 2.0 / (w * w) * (
         slice_c(t, f1, f2, w) * du * du - 2.0 * f1 * u * v * du * dv + f * dv * dv
     )
-    return s, np.column_stack((u, v)), np.column_stack((du, dv)), energies, stopped
+    return np.column_stack((u, v)), np.column_stack((du, dv)), energies
 
 
 def integrate_geodesic(
@@ -378,13 +340,20 @@ def integrate_geodesic(
 ) -> GeodesicTrace:
     """The unit-speed geodesic from start along direction, in closed form.
 
-    The geodesic is the chord of the Beltrami-Klein image (see above),
-    sampled at SAMPLES_PER_UNIT points per unit of arc length, at least 8.
-    It runs its full length, except that it stops, with the boundary flag
-    set, where the chord leaves the slice's image or float64 runs out:
-    where |u| reaches ESCAPE_RADIUS (b = inf; incomplete domains reach
-    infinity in finite arc length), where no u with u^2 < b reaches the
-    chord's psi, or where f(u^2) - v^2 falls below what float64 resolves.
+    The geodesic is the chord of the Beltrami-Klein image (see above).  Its
+    end s_end is decided before it is sampled, as the least of length and
+    two exits, each solved in closed form on the chord:
+
+    - the edge, where |u| reaches u_edge of ``Profile.edge`` (ESCAPE_RADIUS
+      when b = inf, as incomplete domains reach infinity in finite arc
+      length; the largest float below sqrt(b); and no further than where f
+      falls to F_FLOOR), or |u| of the start if that is larger;
+    - the rim, where the slice gap f - v^2 falls to GAP_REL * f.
+
+    [0, s_end] is sampled uniformly at SAMPLES_PER_UNIT points per unit of
+    arc length, at least 8, every sample inside the slice.  boundary_hit is
+    set when s_end < length; a trace that stops at the edge ends at
+    u = +-u_edge.
     """
     require_inside_slice(profile, start)
     direction = np.asarray(direction, dtype=float)
@@ -395,8 +364,7 @@ def integrate_geodesic(
     if not 0.0 < length < math.inf:
         raise ValueError("length must be positive and finite")
 
-    g0 = slice_metric(profile, start)
-    speed_sq = g0.inner(direction, direction)
+    speed_sq = slice_metric(profile, start).inner(direction, direction)
     if speed_sq <= 0:
         raise DegenerateMetricError("metric not positive along the initial direction")
     du, dv = direction / math.sqrt(speed_sq)
@@ -405,38 +373,27 @@ def integrate_geodesic(
     f0 = profile.f(u0 * u0)
     eta0 = v0 / math.sqrt(f0)
     psi0 = psi_increment(profile, 0.0, u0)
-    march = _PsiMarch(profile, u0, psi0, _u_limit(profile.b, u0))
+    # a start past the edge stands for it
+    u_edge, psi_edge = max(profile.edge, (abs(u0), abs(psi0)))
+    march = _PsiMarch(profile, u0, psi0, u_edge)
     rho0 = march.base[2]
     deta0 = dv / math.sqrt(f0) - eta0 * u0 * profile.f1(u0 * u0) / f0 * du
     chord = _Chord(psi0, eta0, rho0 * du, deta0)
 
-    n_samples = max(8, int(round(SAMPLES_PER_UNIT * length)) + 1)
-    spacing = length / (n_samples - 1)
-    parts = []
-    s_prev = -math.inf
-    for first in range(0, n_samples, _BLOCK):
-        s = np.arange(first, min(n_samples, first + _BLOCK)) * spacing
-        if first + _BLOCK >= n_samples:
-            s[-1] = length
-        *part, stopped = _chord_samples(profile, chord, march, s, s_prev)
-        parts.append(part)
-        if stopped:
-            break
-        s_prev = part[0][-1]
-    s, points, tangents, energies = (np.concatenate(group) for group in zip(*parts))
-    if stopped and len(s) < 8:
-        # a stop within a few samples of the start: sample that stretch anew
-        if len(s) < 2:
-            raise OutsideDomainError("the geodesic leaves float64 range at its start")
-        short = integrate_geodesic(profile, start, direction, float(s[-1]))
-        return dataclasses.replace(short, boundary_hit=True)
+    s_edge = chord.cut(math.copysign(psi_edge, du))
+    s_end = min(length, s_edge, chord.rim(1.0 / GAP_REL))
+    if not s_end > 0.0:
+        raise OutsideDomainError("the geodesic leaves float64 range at its start")
+    s = np.linspace(0.0, s_end, max(8, int(round(SAMPLES_PER_UNIT * s_end)) + 1))
+    u_end = math.copysign(u_edge, du) if s_end == s_edge else None
+    points, tangents, energies = _chord_samples(profile, chord, march, s, u_end)
     return GeodesicTrace(
         s=s,
         points=points,
         tangents=tangents,
         energies=energies,
         energy=1.0,
-        boundary_hit=stopped,
+        boundary_hit=s_end < length,
     )
 
 

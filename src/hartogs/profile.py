@@ -12,6 +12,7 @@ density stays evaluable where f itself underflows.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -50,6 +51,16 @@ _GL6 = (
 # geometrically toward a finite bound, where the density blows up.
 PSI_PANEL_WIDTH = 0.125
 PSI_PANEL_RATIO = 0.2
+# A tree of f, f' or f'' past this many nodes is refused before its derivative
+# is built: the product rule makes f''' of a k-factor product grow as k^3.
+MAX_TREE_NODES = 10_000
+# A geodesic that reaches |u| = ESCAPE_RADIUS on an unbounded domain is taken
+# to leave for infinity.  The slice gap f - v^2 that float64 resolves is above
+# the rounding of f, GAP_REL * f, and has a normal square, as the metric
+# divides by it squared; where f >= F_FLOOR the first implies the second.
+ESCAPE_RADIUS = 50.0
+GAP_REL = 4.0 * sys.float_info.epsilon
+F_FLOOR = math.sqrt(sys.float_info.min) / GAP_REL
 
 
 class Profile:
@@ -68,9 +79,9 @@ class Profile:
         if n < 2:
             raise ValueError("complex dimension n must be at least 2")
         try:
-            d0 = simplify(ast)
-            d1 = simplify(differentiate(d0))
-            d2 = simplify(differentiate(d1))
+            d0 = _bounded(simplify(ast))
+            d1 = _bounded(simplify(differentiate(d0)))
+            d2 = _bounded(simplify(differentiate(d1)))
             d3 = simplify(differentiate(d2))
         except RecursionError:
             raise ExpressionSyntaxError("expression nested too deeply", 0) from None
@@ -102,11 +113,38 @@ class Profile:
         k1 = simplify(differentiate(self.kcond_ast))
         return compile_expression(k1), compile_expression(simplify(differentiate(k1)))
 
+    @cached_property
+    def edge(self) -> tuple[float, float]:
+        """(u_edge, psi(u_edge)): how far |u| a geodesic may go.
+
+        u_edge is ESCAPE_RADIUS when b = inf, else the largest float whose
+        square stays below b, and in either case no further than where f
+        falls to F_FLOOR.  Pseudoconvexity makes t*f1/f strictly decreasing
+        from 0, so f strictly decreases and that point is found by bisection.
+        """
+        hi = ESCAPE_RADIUS if math.isinf(self.b) else math.sqrt(self.b)
+        while hi * hi >= self.b:
+            hi = math.nextafter(hi, 0.0)
+        lo = hi if self.f(hi * hi) >= F_FLOOR else 0.0
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            lo, hi = (mid, hi) if self.f(mid * mid) >= F_FLOOR else (lo, mid)
+        return lo, psi_increment(self, 0.0, lo)
+
     def grid_limit(self, t_max: float = DEFAULT_T_MAX) -> float:
         """Upper end of the sampling range: just inside b, or t_max if b=inf."""
         if math.isinf(self.b):
             return t_max
         return self.b * (1.0 - _GRID_MARGIN)
+
+
+def _bounded(expr: Expr) -> Expr:
+    """expr, unless its tree has more than MAX_TREE_NODES nodes."""
+    stack = [expr]
+    for _ in range(MAX_TREE_NODES + 1):
+        if not stack:
+            return expr
+        stack += [child for child in vars(stack.pop()).values() if isinstance(child, Expr)]
+    raise ExpressionSyntaxError("expression too large", 0)
 
 
 def _log_derivative(expr: Expr) -> Expr:
@@ -240,7 +278,10 @@ def validate(
     Checks f > 0, f1 <= 0 (optional, see ``enforce_monotone``), and the
     pseudoconvexity condition kcond < 0 at every grid point.  A grid can
     only certify at its samples; the report says exactly which points fail.
+    t_max must be positive and finite.
     """
+    if not 0.0 < t_max < math.inf:
+        raise ValueError("t_max must be positive and finite")
     upper = profile.grid_limit(t_max)
     positivity: list[float] = []
     monotonicity: list[float] = []

@@ -25,7 +25,7 @@ from hartogs.connection import (
     _christoffel_closed_terms,
     _segment_distances,
 )
-from hartogs.profile import density
+from hartogs.profile import GAP_REL, density
 
 DIRECTIONS = [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (-0.8, 0.3)]
 
@@ -161,6 +161,39 @@ class TestStops:
         assert trace.points[-1, 0] == 50.0
         assert self_intersection_check(trace).passed
 
+    @pytest.mark.parametrize("source, b, u0, direction, length", [
+        ("1 - t", 1.0, 0.0, (0.6, 0.8), 100.0),                  # the rim
+        ("(1 + 0.9*t)^(-2)", math.inf, 0.0, (-1.0, 0.0), 10.0),  # the edge u = -50
+        ("(1 + t)^(-2)", math.inf, 49.99, (1.0, 0.0), 1.0),      # the edge, at once
+        ("1.3*exp(-0.8*t)", math.inf, 0.0, (1.0, 0.0), 30.0),    # where f underflows
+    ])
+    def test_stopped_trace_is_uniform_to_its_end(self, source, b, u0, direction, length):
+        p = parse_profile(source, b, 2)
+        trace = integrate_geodesic(p, SlicePoint(u0, 0.0), direction, length)
+        assert trace.boundary_hit
+        n = max(8, round(24.0 * trace.s[-1]) + 1)
+        assert np.array_equal(trace.s, np.linspace(0.0, trace.s[-1], n))
+        if direction[1] == 0.0:
+            assert trace.points[-1, 0] == math.copysign(p.edge[0], direction[0])
+
+    def test_underflowing_f_ends_the_axis_at_the_edge(self):
+        # psi = sqrt(0.8) * u for the spring, and the edge lies near u = 19.99
+        p = parse_profile("1.3*exp(-0.8*t)", math.inf, 2)
+        trace = integrate_geodesic(p, SlicePoint(0.0, 0.0), (-1.0, 0.0), 30.0)
+        assert trace.points[-1, 0] == pytest.approx(-19.9938, abs=1e-4)
+        assert trace.s[-1] == pytest.approx(math.sqrt(1.6) * p.edge[0], rel=1e-12)
+
+    def test_rim_exit_on_the_ball(self):
+        # the slice of the unit ball is its own Klein disk: the ray is
+        # r (0.6, 0.8) with r = tanh(s / sqrt 2), and the relative gap
+        # (1 - r^2) / (1 - 0.36 r^2) falls to GAP_REL where 1 - r^2 is as below
+        p = parse_profile("1 - t", 1.0, 2)
+        trace = integrate_geodesic(p, SlicePoint(0.0, 0.0), (0.6, 0.8), 100.0)
+        one_minus_r2 = 0.64 * GAP_REL / (1.0 - 0.36 * GAP_REL)
+        r = math.sqrt(1.0 - one_minus_r2)
+        expected = (2.0 * math.log1p(r) - math.log(one_minus_r2)) / math.sqrt(2.0)
+        assert trace.s[-1] == pytest.approx(expected, rel=1e-10)
+
     def test_start_within_rounding_of_the_rim_rejected(self):
         p = parse_profile("1e6 - t", 1e6, 2)
         with pytest.raises(OutsideDomainError):
@@ -170,6 +203,17 @@ class TestStops:
         p = parse_profile("1 - t", 1.0, 2)
         with pytest.raises(ValueError):
             integrate_geodesic(p, SlicePoint(0.0, 0.0), (1.0, 1.0), math.inf)
+
+
+class TestSliceGap:
+    @pytest.mark.parametrize("source", ["1 - t", "1.3*exp(-0.8*t)", "(1 + 0.9*t)^(-2)"])
+    def test_energy_off_the_axis_to_s_14(self, source):
+        # the gap f - v^2 comes from the chord as f / (X0^2 - X1^2); the
+        # difference itself cancels as v^2 -> f
+        p = parse_profile(source, 1.0 if source == "1 - t" else math.inf, 2)
+        trace = integrate_geodesic(p, SlicePoint(0.0, 0.0), (0.6, 0.8), 14.0)
+        assert not trace.boundary_hit
+        assert np.max(np.abs(trace.energies - 1.0)) <= 5e-8
 
 
 class TestPsiAgainstQuad:

@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hartogs
 from hartogs.cli import _COMMANDS, EXIT_BREACH, EXIT_INCONCLUSIVE, EXIT_INPUT, EXIT_OK, main
 from hartogs.curvature import ClassificationResult, EinsteinReport
 from hartogs.hyperbolic import CompletenessReport
@@ -292,6 +297,23 @@ class TestOptionChecks:
         code = main(["geodesic", "--F", "1 - t", "--b", "1", "--dir", "1,1",
                      "--length", length])
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize("t_max", ["-1", "0", "nan", "inf"])
+    def test_t_max_must_be_positive_and_finite(self, capsys, t_max):
+        code = main(["validate", "--F", "exp(-t)", "--b", "inf", "--t-max", t_max])
+        assert code == EXIT_INPUT
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported only where completeness needs quad
+    src = str(Path(hartogs.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = "import sys, hartogs.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 # a value for every option a command declares; an option without one here

@@ -4,9 +4,10 @@ import math
 
 import pytest
 
+import hartogs.profile
 from hartogs import kcond, parse_profile, validate
 from hartogs.expressions import Exp, ExpressionSyntaxError, Num
-from hartogs.profile import chebyshev_grid
+from hartogs.profile import ESCAPE_RADIUS, F_FLOOR, chebyshev_grid
 
 from conftest import FAMILY_MAKERS, FAST_DECAY, fd1, random_slice_points
 
@@ -51,6 +52,37 @@ class TestParseProfile:
     def test_syntax_error_propagates(self):
         with pytest.raises(ExpressionSyntaxError):
             parse_profile("1 -", 1, 2)
+
+    def test_too_large_tree_refused_before_the_next_derivative(self, monkeypatch):
+        # a 40-factor product: f'' has 130,949 nodes, f''' 3.8 million
+        built = []
+        differentiate = hartogs.profile.differentiate
+        monkeypatch.setattr(hartogs.profile, "differentiate",
+                            lambda expr: built.append(expr) or differentiate(expr))
+        with pytest.raises(ExpressionSyntaxError, match="expression too large"):
+            parse_profile("*".join(["(1-t/40)"] * 40), 40, 2)
+        assert len(built) == 2  # f' and f'', not f'''
+
+
+class TestEdge:
+    def test_unbounded_domain_escapes_at_the_radius(self):
+        p = parse_profile("(1 + t)^(-2)", math.inf, 2)
+        u_edge, psi_edge = p.edge
+        assert u_edge == ESCAPE_RADIUS
+        # psi = sqrt(2) * atan(u) for (1 + t)^(-2)
+        assert psi_edge == pytest.approx(math.sqrt(2.0) * math.atan(ESCAPE_RADIUS), rel=1e-12)
+
+    def test_finite_bound_is_the_last_float_below_sqrt_b(self):
+        for b in (0.25, 1.0, 2.0, 1.5 / 0.7):
+            u_edge, _ = parse_profile(f"1 - t/{b!r}", b, 2).edge
+            assert u_edge * u_edge < b <= math.nextafter(u_edge, math.inf) ** 2
+
+    def test_underflowing_f_ends_at_the_floor(self):
+        p = parse_profile("1.3*exp(-0.8*t)", math.inf, 2)
+        u_edge, psi_edge = p.edge
+        assert p.f(u_edge ** 2) >= F_FLOOR > p.f(math.nextafter(u_edge, math.inf) ** 2)
+        assert u_edge == pytest.approx(math.sqrt(math.log(1.3 / F_FLOOR) / 0.8), rel=1e-12)
+        assert psi_edge == pytest.approx(math.sqrt(0.8) * u_edge, rel=1e-12)
 
 
 class TestKcond:
