@@ -25,7 +25,7 @@ from .metric import (
     slice_metric,
     slice_metric_jet,
 )
-from .profile import GAP_REL, Profile, density, psi_increment
+from .profile import GAP_REL, Profile, density, on_grid, psi_increment
 
 DEGENERATE_DET_TOL = 1e-30
 SAMPLES_PER_UNIT = 24.0
@@ -316,7 +316,9 @@ def _chord_samples(profile: Profile, chord: _Chord, march: _PsiMarch, s, u_end):
         steps.append((u_end, density(profile, u_end)))
     u, rho = np.array(steps).T
     t = u * u
-    f, f1, f2 = (np.array([fn(x) for x in t]) for fn in (profile.f, profile.f1, profile.f2))
+    (f, f1, f2), errors = on_grid(profile, t, "f", "f1", "f2")
+    if errors:
+        raise errors[min(errors)]
     sqrt_f = np.sqrt(f)
     w = f * gap
     v = eta * sqrt_f
@@ -558,10 +560,11 @@ def residual_ode(profile: Profile, t: float) -> float:
     """
     if not 0.0 <= t < profile.b:
         raise ValueError(f"t={t} outside the profile range [0, {profile.b})")
-    f = profile.f(t)
-    f1 = profile.f1(t)
-    f2 = profile.f2(t)
-    f3 = profile.f3(t)
+    return residual_terms(t, profile.f(t), profile.f1(t), profile.f2(t), profile.f3(t))
+
+
+def residual_terms(t, f, f1, f2, f3):
+    """r(t) from the values of f..f3 at t, floats or arrays of them."""
     return t * t * f2 * f2 + f * (2.0 * f2 + t * f3) - f1 * (2.0 * t * f2 + t * t * f3)
 
 

@@ -4,10 +4,11 @@ The Gaussian curvature of the slice is evaluated with the Brioschi formula
 on the analytic metric jet; for every valid profile it comes out -1/2 to
 near machine precision.  The base surface {z = 0} carries the conformal
 metric with density -2*kcond.  Its curvature, (mu' + x*mu'')/kcond with
-mu = log(-kcond), needs only kcond and its first two derivatives, and it
-classifies the profile families: flat base <-> c*exp(-k t), constant
-K0 != 0 <-> (c1 + c2 t)^(-2/K0), and the vanishing of the straight-line
-residual singles out the linear profiles of the complex-hyperbolic case.
+mu = log(-kcond), needs only kcond' = 2L' + t*L'' and kcond'' = 3L'' + t*L'''
+besides kcond, with L = f'/f, and it classifies the profile families on a
+grid of numpy arrays: flat base <-> c*exp(-k t), constant K0 != 0 <->
+(c1 + c2 t)^(-2/K0), and the vanishing of the straight-line residual
+singles out the linear profiles of the complex-hyperbolic case.
 """
 
 from __future__ import annotations
@@ -15,9 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .connection import residual_ode
+import numpy as np
+
+from .connection import residual_terms
 from .metric import SlicePoint, slice_metric_jet
-from .profile import Profile, chebyshev_grid, kcond
+from .profile import Profile, chebyshev_grid, kcond, on_grid
 
 FAMILY_HYPERBOLIC = "hyperbolic"
 FAMILY_SPRING = "spring"
@@ -77,9 +80,15 @@ def gauss_curvature_base(profile: Profile, x: float) -> float:
     k = kcond(profile, x)
     if k >= 0.0:
         raise ArithmeticError(f"base metric degenerate at x={x} (density {-2.0 * k})")
-    k1_fn, k2_fn = profile._kcond_derivative_fns
-    mu1 = k1_fn(x) / k
-    mu2 = k2_fn(x) / k - mu1 * mu1
+    return _base_curvature(x, *profile._log_jet(x))
+
+
+def _base_curvature(x, log_d, log_d1, log_d2, log_d3):
+    # floats or arrays: the n-th derivative of kcond = (x*L)' is
+    # (n+1)*L^(n) + x*L^(n+1), from the values of L..L'''
+    k = log_d + x * log_d1
+    mu1 = (2.0 * log_d1 + x * log_d2) / k
+    mu2 = (3.0 * log_d2 + x * log_d3) / k - mu1 * mu1
     return (mu1 + x * mu2) / k
 
 
@@ -105,9 +114,13 @@ def einstein_check(profile: Profile, grid: int = 64) -> EinsteinReport:
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
     upper = profile.grid_limit() * (1.0 - 1e-6)
-    values = [monge_ampere_J(profile, t) for t in chebyshev_grid(upper, grid)]
-    mean = sum(values) / len(values)
-    variation = max(abs(v - mean) for v in values) / abs(mean)
+    (f, k), errors = on_grid(profile, chebyshev_grid(upper, grid), "f", "_kcond_fn")
+    if errors:
+        raise errors[min(errors)]
+    with np.errstate(all="ignore"):  # inf and nan pass on, as in float arithmetic
+        values = -f * f * k  # monge_ampere_J
+        mean = float(np.mean(values))
+        variation = float(np.max(np.abs(values - mean))) / abs(mean)
     return EinsteinReport(variation < CONSTANCY_TOL, variation, mean)
 
 
@@ -121,12 +134,13 @@ class ClassificationResult:
     base_curvature: float | None
 
 
-def _relative_fit_residual(profile: Profile, fitted, ts) -> float:
-    worst = 0.0
-    for t in ts:
-        f = profile.f(t)
-        worst = max(worst, abs(f - fitted(t)) / (abs(f) + 1e-300))
-    return worst
+def _max(values: np.ndarray) -> float:
+    # the largest of 0.0 and the values, skipping nan as max(0.0, ...) does
+    return float(np.fmax.reduce(values, initial=0.0))
+
+
+def _relative_fit_residual(f: np.ndarray, fitted: np.ndarray) -> float:
+    return _max(np.abs(f - fitted) / (np.abs(f) + 1e-300))
 
 
 def classify_profile(profile: Profile, grid: int = 64) -> ClassificationResult:
@@ -144,50 +158,47 @@ def classify_profile(profile: Profile, grid: int = 64) -> ClassificationResult:
 
     f0 = profile.f(0.0)
     f1_0 = profile.f1(0.0)
-
-    residual_scale = 0.0
-    residual_max = 0.0
-    for t in ts:
-        f = profile.f(t)
-        f1 = profile.f1(t)
-        f2 = profile.f2(t)
-        f3 = profile.f3(t)
-        residual_max = max(residual_max, abs(residual_ode(profile, t)))
-        residual_scale = max(
-            residual_scale,
-            t * t * f2 * f2 + abs(f) * (2.0 * abs(f2) + t * abs(f3))
-            + abs(f1) * (2.0 * t * abs(f2) + t * t * abs(f3)),
+    (f, f1, f2, f3), errors = on_grid(profile, ts, "f", "f1", "f2", "f3")
+    if errors:
+        raise errors[min(errors)]
+    with np.errstate(all="ignore"):  # inf and nan pass on, as in float arithmetic
+        residual_max = _max(np.abs(residual_terms(ts, f, f1, f2, f3)))
+        residual_scale = _max(
+            ts * ts * f2 * f2 + np.abs(f) * (2.0 * np.abs(f2) + ts * np.abs(f3))
+            + np.abs(f1) * (2.0 * ts * np.abs(f2) + ts * ts * np.abs(f3))
         )
-    if residual_max <= RESIDUAL_TOL * max(residual_scale, 1.0):
-        c1, c2 = f0, -f1_0
-        fit = _relative_fit_residual(profile, lambda t: c1 - c2 * t, ts)
-        if fit < FIT_TOL:
-            return ClassificationResult(
-                FAMILY_HYPERBOLIC, {"c1": c1, "c2": c2}, fit, None
-            )
+        if residual_max <= RESIDUAL_TOL * max(residual_scale, 1.0):
+            c1, c2 = f0, -f1_0
+            fit = _relative_fit_residual(f, c1 - c2 * ts)
+            if fit < FIT_TOL:
+                return ClassificationResult(
+                    FAMILY_HYPERBOLIC, {"c1": c1, "c2": c2}, fit, None
+                )
 
-    curvatures = [gauss_curvature_base(profile, t) for t in ts]
-    k_mean = sum(curvatures) / len(curvatures)
-    spread = max(abs(k - k_mean) for k in curvatures)
+        (k_grid, *log_d), errors = on_grid(profile, ts, "_kcond_fn", "_log_jet")
+        bad = [*errors, *np.flatnonzero(k_grid >= 0.0).tolist()]
+        if bad:  # raise what gauss_curvature_base raises at the first bad point
+            gauss_curvature_base(profile, float(ts[min(bad)]))
+        curvatures = _base_curvature(ts, *log_d)
+        k_mean = float(np.mean(curvatures))
+        spread = _max(np.abs(curvatures - k_mean))
 
-    if max(abs(k) for k in curvatures) < CONSTANCY_TOL:
-        c = f0
-        k = -f1_0 / f0
-        fit = _relative_fit_residual(profile, lambda t: c * math.exp(-k * t), ts)
-        if fit < FIT_TOL:
-            return ClassificationResult(FAMILY_SPRING, {"c": c, "k": k}, fit, 0.0)
+        if _max(np.abs(curvatures)) < CONSTANCY_TOL:
+            c = f0
+            k = -f1_0 / f0
+            fit = _relative_fit_residual(f, c * np.exp(-k * ts))
+            if fit < FIT_TOL:
+                return ClassificationResult(FAMILY_SPRING, {"c": c, "k": k}, fit, 0.0)
 
-    if spread < CONSTANCY_TOL * max(abs(k_mean), 1.0) and k_mean != 0.0:
-        exponent = -2.0 / k_mean
-        c1 = math.pow(f0, 1.0 / exponent)
-        c2 = f1_0 / (exponent * math.pow(c1, exponent - 1.0))
-        fit = _relative_fit_residual(
-            profile, lambda t: math.pow(c1 + c2 * t, exponent), ts
-        )
-        if fit < FIT_TOL:
-            family = FAMILY_POWER_POS if k_mean > 0 else FAMILY_POWER_NEG
-            return ClassificationResult(
-                family, {"c1": c1, "c2": c2, "K0": k_mean}, fit, k_mean
-            )
+        if spread < CONSTANCY_TOL * max(abs(k_mean), 1.0) and k_mean != 0.0:
+            exponent = -2.0 / k_mean
+            c1 = math.pow(f0, 1.0 / exponent)
+            c2 = f1_0 / (exponent * math.pow(c1, exponent - 1.0))
+            fit = _relative_fit_residual(f, np.power(c1 + c2 * ts, exponent))
+            if fit < FIT_TOL:
+                family = FAMILY_POWER_POS if k_mean > 0 else FAMILY_POWER_NEG
+                return ClassificationResult(
+                    family, {"c1": c1, "c2": c2, "K0": k_mean}, fit, k_mean
+                )
 
     return ClassificationResult(FAMILY_GENERIC, {}, math.inf, None)

@@ -21,6 +21,8 @@ import math
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class ExpressionSyntaxError(ValueError):
     """Raised on malformed input, with the character offset of the problem."""
@@ -467,15 +469,23 @@ def _guarded_log(x: float) -> float:
     return math.log(x)
 
 
-def compile_expression(expr: Expr):
-    """Compile a tree to a fast float->float callable with the same guards
-    as :func:`evaluate`."""
-    source = f"lambda t: {_emit(expr)}"
+def compile_expression(expr: Expr | tuple[Expr, ...]):
+    """Compile a tree, or a tuple of trees, to a fast float callable with the
+    same guards as :func:`evaluate`.  Its ``array`` twin runs the same code
+    on numpy arrays (a tree without t gives a float).  Under
+    np.errstate(all="raise") the twin raises FloatingPointError (or
+    ZeroDivisionError, for a constant divided by zero) wherever the callable
+    raises and at any overflow or invalid step that the callable passes on
+    as inf or nan; elsewhere the two differ only in the last-ulp rounding of
+    numpy's exp, log and power.
+    """
+    body = f"({', '.join(map(_emit, expr))},)" if isinstance(expr, tuple) else _emit(expr)
+    source = f"lambda t: {body}"
     # folded constants may be infinite or nan, and print as bare inf/nan
     namespace = {"_pow": math.pow, "_exp": math.exp, "_log": _guarded_log,
                  "inf": math.inf, "nan": math.nan}
     try:
-        raw = eval(compile(source, "<profile-expression>", "eval"), namespace)
+        raw = eval(code := compile(source, "<profile-expression>", "eval"), namespace)
     except (RecursionError, SyntaxError):
         # CPython nests at most 200 parentheses, fewer than the parser allows;
         # the tree keeps no source offsets, so the error points at the start
@@ -488,4 +498,5 @@ def compile_expression(expr: Expr):
             raise ExpressionEvalError(f"{exc} at t={t}") from exc
 
     evaluator.source = source  # type: ignore[attr-defined]
+    evaluator.array = eval(code, dict(namespace, _pow=np.power, _exp=np.exp, _log=np.log))  # type: ignore
     return evaluator

@@ -4,9 +4,11 @@ A profile is a smooth positive function f on [0, b) ingested as an
 expression string.  Derivatives up to third order are produced by exact
 symbolic differentiation of the parsed tree, never by finite differences:
 the downstream residuals need f'''.  The pseudoconvexity density
-(t*f'/f)' is built from the log-derivative of f, assembled from the
-structure of the tree, so no power of f lands in a denominator and the
-density stays evaluable where f itself underflows.
+kcond = (t*f'/f)' = L + t*L' is built from the log-derivative L = f'/f,
+assembled from the structure of the tree, so no power of f lands in a
+denominator and the density stays evaluable where f itself underflows;
+kcond' and kcond'' come from L', L'' and L'''.  Grid passes (``on_grid``)
+evaluate each tree once, as a numpy array, with a per-point fallback.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 from .expressions import (
     Add,
@@ -89,29 +93,35 @@ class Profile:
         self.b = b
         self.n = n
         self.source = source if source is not None else to_source(d0)
-        self.f = compile_expression(d0)
-        self.f1 = compile_expression(d1)
-        self.f2 = compile_expression(d2)
-        self.f3 = compile_expression(d3)
+        self.f, self.f1, self.f2, self.f3 = evaluators = [compile_expression(d) for d in self.asts]
+        # grid passes take the array twins from here, as f..f3 may be rebound
+        self._arrays = dict(zip(("f", "f1", "f2", "f3"), (e.array for e in evaluators)))
 
     def __repr__(self):
         return f"Profile({self.source!r}, b={self.b}, n={self.n})"
 
     @cached_property
-    def kcond_ast(self) -> Expr:
-        # d/dt (t*L) = L + t*L' with L = f1/f, the log-derivative of f.
+    def _log_derivatives(self) -> tuple[Expr, Expr]:
+        # L = f1/f, the log-derivative of f, and L'
         log_d = simplify(_log_derivative(self.asts[0]))
-        return simplify(Add(log_d, Mul(Var(), simplify(differentiate(log_d)))))
+        return log_d, simplify(differentiate(log_d))
+
+    @cached_property
+    def kcond_ast(self) -> Expr:
+        # d/dt (t*L) = L + t*L'
+        return simplify(Add(self._log_derivatives[0], Mul(Var(), self._log_derivatives[1])))
 
     @cached_property
     def _kcond_fn(self):
         return compile_expression(self.kcond_ast)
 
     @cached_property
-    def _kcond_derivative_fns(self):
-        # kcond' and kcond'', for the curvature of the base metric.
-        k1 = simplify(differentiate(self.kcond_ast))
-        return compile_expression(k1), compile_expression(simplify(differentiate(k1)))
+    def _log_jet(self):
+        # one evaluator of (L, L', L'', L'''), for kcond' and kcond''
+        log_d = list(self._log_derivatives)
+        log_d.append(simplify(differentiate(log_d[1])))
+        log_d.append(simplify(differentiate(log_d[2])))
+        return compile_expression(tuple(log_d))
 
     @cached_property
     def edge(self) -> tuple[float, float]:
@@ -237,11 +247,46 @@ def _check_range(profile: Profile, t: float):
         raise ValueError(f"t={t} outside the profile range [0, {profile.b})")
 
 
-def chebyshev_grid(upper: float, size: int) -> list[float]:
+def chebyshev_grid(upper: float, size: int) -> np.ndarray:
     """Chebyshev-extrema points on [0, upper], denser toward both ends."""
     if size < 2:
         raise ValueError("grid size must be at least 2")
-    return [0.5 * upper * (1.0 - math.cos(math.pi * j / (size - 1))) for j in range(size)]
+    return 0.5 * upper * (1.0 - np.cos(math.pi * np.arange(size) / (size - 1)))
+
+
+def on_grid(profile: Profile, ts: np.ndarray, *names: str):
+    """(rows, errors): the named evaluators of profile on the grid ts, a row
+    each ("_log_jet" gives four), and the ExpressionEvalError by index.
+    Each tree runs once, as an array, under np.errstate(all="raise",
+    under="ignore").  If that raises or gives a non-finite value, the float
+    evaluators run point by point instead, as a per-point loop would; a
+    point with an error is nan in every row.
+    """
+    twins = [profile._arrays.get(name) or getattr(profile, name).array for name in names]
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            values = [v for twin in twins for v in _values(twin(ts))]
+        rows = np.empty((len(values), len(ts)))
+        for row, value in zip(rows, values):
+            row[...] = value  # a tree without t gives one float
+        if np.isfinite(rows).all():
+            return rows, {}
+    except (FloatingPointError, ZeroDivisionError):
+        pass
+    errors: dict[int, ExpressionEvalError] = {}
+    points: list[list[float] | None] = []
+    for i, t in enumerate(ts.tolist()):
+        try:
+            points.append([v for name in names for v in _values(getattr(profile, name)(t))])
+        except ExpressionEvalError as exc:
+            errors[i] = exc
+            points.append(None)
+    width = max(map(len, filter(None, points)), default=len(names))
+    return np.array([p or [math.nan] * width for p in points]).T, errors
+
+
+def _values(value) -> tuple:
+    return value if isinstance(value, tuple) else (value,)
 
 
 @dataclass(frozen=True)
@@ -283,35 +328,23 @@ def validate(
     if not 0.0 < t_max < math.inf:
         raise ValueError("t_max must be positive and finite")
     upper = profile.grid_limit(t_max)
-    positivity: list[float] = []
-    monotonicity: list[float] = []
-    pseudoconvexity: list[float] = []
-    failures: list[tuple[float, str]] = []
-    for t in chebyshev_grid(upper, grid_size):
-        try:
-            ft = profile.f(t)
-            f1t = profile.f1(t)
-            kt = profile._kcond_fn(t)
-        except ExpressionEvalError as exc:
-            failures.append((t, str(exc)))
-            continue
-        if not (math.isfinite(ft) and math.isfinite(f1t) and math.isfinite(kt)):
-            failures.append((t, "non-finite value"))
-            continue
-        if ft <= 0.0:
-            positivity.append(t)
-        if enforce_monotone and f1t > 0.0:
-            monotonicity.append(t)
-        if kt >= 0.0:
-            pseudoconvexity.append(t)
+    ts = chebyshev_grid(upper, grid_size)
+    (f, f1, k), errors = on_grid(profile, ts, "f", "f1", "_kcond_fn")
+    ok = np.isfinite(f) & np.isfinite(f1) & np.isfinite(k)
+    failed = np.flatnonzero(~ok).tolist()
+    failures = tuple((t, str(errors.get(i, "non-finite value")))
+                     for i, t in zip(failed, ts[failed].tolist()))
+    positivity = tuple(ts[ok & (f <= 0.0)].tolist())
+    monotonicity = tuple(ts[ok & (f1 > 0.0)].tolist()) if enforce_monotone else ()
+    pseudoconvexity = tuple(ts[ok & (k >= 0.0)].tolist())
     valid = not (positivity or monotonicity or pseudoconvexity or failures)
     return ValidationReport(
         valid=valid,
         grid_size=grid_size,
         t_upper=upper,
-        positivity_violations=tuple(positivity),
-        monotonicity_violations=tuple(monotonicity),
-        pseudoconvexity_violations=tuple(pseudoconvexity),
-        evaluation_failures=tuple(failures),
+        positivity_violations=positivity,
+        monotonicity_violations=monotonicity,
+        pseudoconvexity_violations=pseudoconvexity,
+        evaluation_failures=failures,
         monotonicity_enforced=enforce_monotone,
     )
