@@ -25,7 +25,7 @@ from .metric import (
     slice_metric,
     slice_metric_jet,
 )
-from .profile import GAP_REL, Profile, density, on_grid, psi_increment
+from .profile import GAP_REL, Profile, on_grid, psi_inverse, psi_value
 
 DEGENERATE_DET_TOL = 1e-30
 SAMPLES_PER_UNIT = 24.0
@@ -138,17 +138,12 @@ def christoffel_generic(profile: Profile, sp: SlicePoint) -> ChristoffelSlice:
 # with the light-like A = P + T and B = P - T made of the start P and the
 # unit tangent T.  So psi = (log(X0 + X1) - log(X0 - X1)) / 2, eta =
 # X2 / sqrt(X0^2 - X1^2) and the gap (f - v^2) / f = 1 / (X0^2 - X1^2) come
-# from sums of exponentials, without cancellation, and u from psi by marching
-# the inverse of psi.  The chord meets the edge |u| = u_edge where psi =
+# from sums of exponentials, without cancellation, and u from psi by
+# ``profile.psi_inverse``.  The chord meets the edge |u| = u_edge where psi =
 # +-psi(u_edge), and the rim where X0^2 - X1^2 = 1 / GAP_REL.
 
 _SQRT2 = math.sqrt(2.0)
 _LOG2 = math.log(2.0)
-# A marched sample is accepted once Newton's remainder on psi is below this.
-PSI_TOL = 1e-11
-# Newton's step is trusted once the residual on psi is below this.
-_NEWTON_RESIDUAL = 1e-4
-_MARCH_STEPS = 60
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,79 +239,15 @@ class _Chord:
         return _SQRT2 * 0.5 * math.log(root / (2.0 * a)) if a > 0.0 else math.inf
 
 
-class _PsiMarch:
-    """The inverse of psi along a chord, marched sample by sample.
-
-    psi is monotone along a chord.  Each sample solves psi(u) = target by a
-    safeguarded Newton iteration: psi_increment from the last point where
-    psi was integrated, the density as the derivative, a cubic Hermite
-    predictor through the last two samples, and a bracket that reaches out
-    to +-u_lim, past every target.
-    """
-
-    def __init__(self, profile: Profile, u: float, psi0: float, u_lim: float):
-        self.profile = profile
-        self.u_lim = u_lim
-        self.base = (u, psi0, density(profile, u))  # psi integrated here
-        self.last = self.base  # (u, psi, density) of the last sample
-        self.before = None     # the same of the sample before it
-
-    def step(self, target: float) -> tuple[float, float]:
-        """(u, density at u) with psi(u) = target."""
-        profile = self.profile
-        ub, pb, rb = self.base
-        if target == pb:
-            return ub, rb
-        lo, hi = (ub, self.u_lim) if target > pb else (-self.u_lim, ub)
-        u1, p1, r1 = self.last
-        dp = target - p1
-        u = u1 + dp / r1 if r1 > 0.0 else u1
-        if self.before is not None and r1 > 0.0 and self.before[2] > 0.0 \
-                and self.before[1] != p1:
-            # cubic Hermite through the last two samples, u as a function of psi
-            u0, p0, r0 = self.before
-            h = p0 - p1
-            gap = (u0 - u1 - h / r1) / h
-            cubic = (1.0 / r0 - 1.0 / r1 - 2.0 * gap) / (h * h)
-            u += dp * dp * (gap / h - cubic * h + cubic * dp)
-        if not lo < u < hi and rb > 0.0:  # the base lies past the last sample
-            u = ub + (target - pb) / rb
-        for steps in range(1, _MARCH_STEPS + 1):
-            if not lo < u < hi:
-                u = 0.5 * (lo + hi)
-            p = pb + psi_increment(profile, ub, u)
-            r = density(profile, u)
-            if p < target:
-                lo = u
-            elif p > target:
-                hi = u
-            residual = target - p
-            delta = residual / r if r > 0.0 else math.inf
-            new = u + delta
-            slope = (r - rb) / (u - ub) if u != ub else math.inf
-            if delta == 0.0 or steps == _MARCH_STEPS or (
-                    lo <= new <= hi and abs(residual) <= _NEWTON_RESIDUAL
-                    and 0.5 * abs(slope) * delta * delta <= PSI_TOL):
-                rho = density(profile, new)
-                self.base = (u, p, r)
-                self.before = self.last
-                self.last = (new, target, rho)
-                return new, rho
-            if abs(residual) > _NEWTON_RESIDUAL and abs(delta) < 1e-6 * (hi - lo):
-                new = 0.5 * (lo + hi)  # Newton crawls on the steep side of a bound
-            u = new
-
-
-def _chord_samples(profile: Profile, chord: _Chord, march: _PsiMarch, s, u_end):
-    """Points, tangents and energies at the arc lengths s; u_end, unless
-    None, is the u of the last sample, where the chord crosses the edge."""
+def _chord_samples(profile: Profile, chord: _Chord, s, u_edge: float, u_end):
+    """Points, tangents and energies at the arc lengths s, |u| <= u_edge;
+    u_end, unless None, is the u of the last sample, on the edge."""
     psi, eta, dpsi, deta, gap = chord.at(s)
-    steps = [march.step(target) for target in (psi if u_end is None else psi[:-1])]
+    u = psi_inverse(profile, psi, u_edge)
     if u_end is not None:
-        steps.append((u_end, density(profile, u_end)))
-    u, rho = np.array(steps).T
+        u[-1] = u_end
     t = u * u
-    (f, f1, f2), errors = on_grid(profile, t, "f", "f1", "f2")
+    (f, f1, f2, k), errors = on_grid(profile, t, "f", "f1", "f2", "_kcond_fn")
     if errors:
         raise errors[min(errors)]
     sqrt_f = np.sqrt(f)
@@ -326,7 +257,7 @@ def _chord_samples(profile: Profile, chord: _Chord, march: _PsiMarch, s, u_end):
     # f - w keeps v^2 below f in float64
     near = gap < 0.5
     v[near] = np.copysign(np.sqrt(f[near] - w[near]), eta[near])
-    du = dpsi / rho
+    du = dpsi / np.sqrt(np.maximum(-k, 0.0))  # the density is psi'(u)
     dv = sqrt_f * (deta + eta * u * (f1 / f) * du)
     energies = 2.0 / (w * w) * (
         slice_c(t, f1, f2, w) * du * du - 2.0 * f1 * u * v * du * dv + f * dv * dv
@@ -366,6 +297,7 @@ def integrate_geodesic(
     if not 0.0 < length < math.inf:
         raise ValueError("length must be positive and finite")
 
+    direction = direction / np.max(np.abs(direction))  # squares neither underflow nor overflow
     speed_sq = slice_metric(profile, start).inner(direction, direction)
     if speed_sq <= 0:
         raise DegenerateMetricError("metric not positive along the initial direction")
@@ -374,11 +306,9 @@ def integrate_geodesic(
     u0, v0 = start.u, start.v
     f0 = profile.f(u0 * u0)
     eta0 = v0 / math.sqrt(f0)
-    psi0 = psi_increment(profile, 0.0, u0)
+    psi0, rho0 = psi_value(profile, u0)
     # a start past the edge stands for it
     u_edge, psi_edge = max(profile.edge, (abs(u0), abs(psi0)))
-    march = _PsiMarch(profile, u0, psi0, u_edge)
-    rho0 = march.base[2]
     deta0 = dv / math.sqrt(f0) - eta0 * u0 * profile.f1(u0 * u0) / f0 * du
     chord = _Chord(psi0, eta0, rho0 * du, deta0)
 
@@ -388,7 +318,7 @@ def integrate_geodesic(
         raise OutsideDomainError("the geodesic leaves float64 range at its start")
     s = np.linspace(0.0, s_end, max(8, int(round(SAMPLES_PER_UNIT * s_end)) + 1))
     u_end = math.copysign(u_edge, du) if s_end == s_edge else None
-    points, tangents, energies = _chord_samples(profile, chord, march, s, u_end)
+    points, tangents, energies = _chord_samples(profile, chord, s, u_edge, u_end)
     return GeodesicTrace(
         s=s,
         points=points,

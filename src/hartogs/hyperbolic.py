@@ -28,7 +28,7 @@ from .metric import (
     require_inside,
     require_inside_slice,
 )
-from .profile import Profile, density, kcond, psi_increment
+from .profile import Profile, density, kcond, psi_value
 
 VERDICT_COMPLETE = "complete"
 VERDICT_INCOMPLETE = "incomplete"
@@ -61,11 +61,11 @@ def completeness_integrand(profile: Profile, u: float) -> float:
 
 def psi(profile: Profile, u: float) -> float:
     """Odd, strictly increasing radial coordinate: the integral of the
-    density from 0 to u, on Gauss-Legendre panels graded toward sqrt(b)."""
-    sqrt_b = math.sqrt(profile.b) if math.isfinite(profile.b) else math.inf
-    if abs(u) >= sqrt_b:
+    density from 0 to u, read off the profile's table of Gauss-Legendre
+    panels graded toward sqrt(b), which the first call builds."""
+    if not abs(u) < math.sqrt(profile.b):
         raise ValueError(f"|u|={abs(u)} outside (-sqrt(b), sqrt(b))")
-    return psi_increment(profile, 0.0, u)
+    return psi_value(profile, u)[0]
 
 
 def psi_map(profile: Profile, sp: SlicePoint) -> tuple[float, float]:
@@ -79,8 +79,7 @@ def psi_map(profile: Profile, sp: SlicePoint) -> tuple[float, float]:
 def psi_map_jacobian(profile: Profile, sp: SlicePoint):
     """Analytic differential of the disk map at (u, v), rows (dx, dy)."""
     require_inside_slice(profile, sp)
-    p = psi(profile, sp.u)
-    dp = completeness_integrand(profile, sp.u)
+    p, dp = psi_value(profile, sp.u)
     t = sp.u * sp.u
     f = profile.f(t)
     f1 = profile.f1(t)

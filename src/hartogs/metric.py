@@ -89,9 +89,9 @@ def domain_gap(profile: Profile, point: DomainPoint) -> float:
 
 def require_inside(profile: Profile, point: DomainPoint) -> float:
     gap = domain_gap(profile, point)
-    if gap < BOUNDARY_GUARD:
+    if not gap >= BOUNDARY_GUARD:  # nan too
         raise OutsideDomainError(
-            f"point effectively on the boundary (f - ||z||^2 = {gap})"
+            f"point not strictly inside the domain (f - ||z||^2 = {gap})"
         )
     return gap
 
@@ -106,9 +106,9 @@ def slice_gap(profile: Profile, sp: SlicePoint) -> float:
 
 def require_inside_slice(profile: Profile, sp: SlicePoint) -> float:
     gap = slice_gap(profile, sp)
-    if gap < BOUNDARY_GUARD:
+    if not gap >= BOUNDARY_GUARD:  # nan too
         raise OutsideDomainError(
-            f"slice point effectively on the boundary (f - v^2 = {gap})"
+            f"slice point not strictly inside the slice (f - v^2 = {gap})"
         )
     return gap
 
@@ -191,7 +191,7 @@ def slice_metric_generic(profile: Profile, sp: SlicePoint) -> SliceMetric:
 def beltrami_klein(x: float, y: float) -> SliceMetric:
     """Beltrami-Klein metric of curvature -1/2 on the unit disk."""
     w = 1.0 - x * x - y * y
-    if w < BOUNDARY_GUARD:
+    if not w >= BOUNDARY_GUARD:  # nan too
         raise OutsideDomainError(f"({x}, {y}) not inside the unit disk")
     w2 = w * w
     return SliceMetric(2.0 * (1.0 - y * y) / w2, 2.0 * x * y / w2, 2.0 * (1.0 - x * x) / w2)

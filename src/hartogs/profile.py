@@ -9,6 +9,8 @@ assembled from the structure of the tree, so no power of f lands in a
 denominator and the density stays evaluable where f itself underflows;
 kcond' and kcond'' come from L', L'' and L'''.  Grid passes (``on_grid``)
 evaluate each tree once, as a numpy array, with a per-point fallback.
+psi, the integral of the density sqrt(-kcond(u^2)), and its inverse read
+one table of Gauss-Legendre panels per profile, built on first use.
 """
 
 from __future__ import annotations
@@ -43,18 +45,20 @@ from .expressions import (
 DEFAULT_GRID_SIZE = 1024
 DEFAULT_T_MAX = 50.0
 _GRID_MARGIN = 1e-9
-# Gauss-Legendre rule of order 6 on [-1, 1]: the positive nodes with their
-# weights (the rule is symmetric).
-_GL6 = (
-    (0.2386191860831969, 0.46791393457269104),
-    (0.6612093864662645, 0.3607615730481387),
-    (0.9324695142031519, 0.17132449237917027),
-)
+# Gauss-Legendre rule of order 6 on [-1, 1]
+_GL6_NODES = np.array([-0.9324695142031519, -0.6612093864662645, -0.2386191860831969,
+                       0.2386191860831969, 0.6612093864662645, 0.9324695142031519])
+_GL6_WEIGHTS = np.array([0.17132449237917027, 0.3607615730481387, 0.46791393457269104,
+                         0.46791393457269104, 0.3607615730481387, 0.17132449237917027])
 # A psi panel is at most PSI_PANEL_WIDTH * max(1, |u|) wide and spans at most
 # PSI_PANEL_RATIO of its distance to sqrt(b), so that panels grade
 # geometrically toward a finite bound, where the density blows up.
 PSI_PANEL_WIDTH = 0.125
 PSI_PANEL_RATIO = 0.2
+# psi^-1 accepts a Newton step whose estimated remainder on psi is below
+# PSI_TOL, and bisects its panel at most PSI_STEPS times.
+PSI_TOL = 1e-11
+PSI_STEPS = 60
 # A tree of f, f' or f'' past this many nodes is refused before its derivative
 # is built: the product rule makes f''' of a k-factor product grow as k^3.
 MAX_TREE_NODES = 10_000
@@ -124,6 +128,17 @@ class Profile:
         return compile_expression(tuple(log_d))
 
     @cached_property
+    def _psi_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # the psi panels from 0 to u_edge (see edge)
+        hi = ESCAPE_RADIUS if math.isinf(self.b) else math.sqrt(self.b)
+        while hi * hi >= self.b:
+            hi = math.nextafter(hi, 0.0)
+        lo = hi if self.f(hi * hi) >= F_FLOOR else 0.0
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            lo, hi = (mid, hi) if self.f(mid * mid) >= F_FLOOR else (lo, mid)
+        return _lay_psi_table(self, lo)
+
+    @property
     def edge(self) -> tuple[float, float]:
         """(u_edge, psi(u_edge)): how far |u| a geodesic may go.
 
@@ -131,14 +146,11 @@ class Profile:
         square stays below b, and in either case no further than where f
         falls to F_FLOOR.  Pseudoconvexity makes t*f1/f strictly decreasing
         from 0, so f strictly decreases and that point is found by bisection.
+        psi(u_edge) is the last entry of the profile's psi table, whose
+        panels end at u_edge; the table is built on first use and kept.
         """
-        hi = ESCAPE_RADIUS if math.isinf(self.b) else math.sqrt(self.b)
-        while hi * hi >= self.b:
-            hi = math.nextafter(hi, 0.0)
-        lo = hi if self.f(hi * hi) >= F_FLOOR else 0.0
-        while lo < (mid := 0.5 * (lo + hi)) < hi:
-            lo, hi = (mid, hi) if self.f(mid * mid) >= F_FLOOR else (lo, mid)
-        return lo, psi_increment(self, 0.0, lo)
+        breaks, values, _ = self._psi_table
+        return float(breaks[-1]), float(values[-1])
 
     def grid_limit(self, t_max: float = DEFAULT_T_MAX) -> float:
         """Upper end of the sampling range: just inside b, or t_max if b=inf."""
@@ -211,35 +223,88 @@ def density(profile: Profile, u: float) -> float:
     return math.sqrt(max(-profile._kcond_fn(t), 0.0))
 
 
-def psi_increment(profile: Profile, a: float, c: float) -> float:
-    """psi(c) - psi(a): the integral of the density over [a, c].
+# ---------------------------------------------------------------------------
+# psi and its inverse, read off one table per profile: the panel breaks
+# 0 = x_0 < x_1 < ... < x_K, with psi and the density at each
 
-    Gauss-Legendre panels laid outward from the end nearer the origin (the
-    density is even), each within PSI_PANEL_WIDTH and PSI_PANEL_RATIO.  A
-    short interval is one panel; toward a finite bound the panels shrink
-    geometrically.  Both ends lie in (-sqrt(b), sqrt(b)).
-    """
-    if a * c < 0.0:
-        return psi_increment(profile, a, 0.0) + psi_increment(profile, 0.0, c)
-    if abs(c) < abs(a):
-        return -psi_increment(profile, c, a)
-    x, end = abs(a), abs(c)
+def _panel_integrals(profile: Profile, left, right, at) -> tuple[np.ndarray, np.ndarray]:
+    """(GL6 integrals of the density over [left, right], the density at
+    the points at), in one array pass, with the guards of ``density``."""
+    half = 0.5 * (right - left)
+    nodes = (0.5 * (right + left))[:, None] + half[:, None] * _GL6_NODES
+    us = np.concatenate((nodes.ravel(), at))
+    (k,), errors = on_grid(profile, np.minimum(us * us, math.nextafter(profile.b, 0.0)),
+                           "_kcond_fn")
+    if errors:
+        raise errors[min(errors)]
+    rho = np.sqrt(np.maximum(-k, 0.0))
+    return half * (rho[:nodes.size].reshape(nodes.shape) @ _GL6_WEIGHTS), rho[nodes.size:]
+
+
+def _lay_psi_table(profile: Profile, reach: float):
+    """(breaks, psi, density) on panels laid from 0 to reach, each within
+    PSI_PANEL_WIDTH and PSI_PANEL_RATIO."""
     sqrt_b = math.sqrt(profile.b)
-    total = 0.0
-    while x < end:
-        width = min(PSI_PANEL_WIDTH * max(1.0, x), PSI_PANEL_RATIO * (sqrt_b - x))
-        right = min(end, x + width)
-        if not right > x:  # within an ulp or two of sqrt(b)
-            right = end
-        half = 0.5 * (right - x)
-        mid = 0.5 * (right + x)
-        panel = 0.0
-        for node, weight in _GL6:
-            panel += weight * (density(profile, mid - half * node)
-                               + density(profile, mid + half * node))
-        total += half * panel
-        x = right
-    return math.copysign(total, c)
+    breaks = [0.0]
+    while (x := breaks[-1]) < reach:
+        right = min(reach, x + min(PSI_PANEL_WIDTH * max(1.0, x), PSI_PANEL_RATIO * (sqrt_b - x)))
+        breaks.append(right if right > x else reach)  # within an ulp or two of sqrt(b)
+    breaks = np.array(breaks)
+    integrals, rho = _panel_integrals(profile, breaks[:-1], breaks[1:], breaks)
+    return breaks, np.concatenate(([0.0], np.cumsum(integrals))), rho
+
+
+def _psi_table_to(profile: Profile, reach: float):
+    """The profile's psi table, or past u_edge one laid out to reach, not kept."""
+    table = profile._psi_table
+    return table if reach <= table[0][-1] else _lay_psi_table(profile, reach)
+
+
+def psi_value(profile: Profile, u: float) -> tuple[float, float]:
+    """(psi(u), density at u): the table's psi at the last break below |u|,
+    plus one GL6 panel, signed as u."""
+    x = abs(u)
+    breaks, values, _ = _psi_table_to(profile, x)
+    k = int(np.searchsorted(breaks, x, side="right")) - 1
+    integral, rho = _panel_integrals(profile, breaks[k:k + 1], np.array([x]), np.array([x]))
+    return math.copysign(float(values[k] + integral[0]), u), float(rho[0])
+
+
+def psi_inverse(profile: Profile, targets: np.ndarray, reach: float) -> np.ndarray:
+    """u with psi(u) = targets and |u| <= reach, for all targets at once.
+
+    Newton from the chord of each target's panel, one array pass per step
+    over the targets still open, bracketed by the panel; a step's remainder
+    is estimated with the density's slope from the panel's left break.
+    """
+    breaks, values, rhos = _psi_table_to(profile, reach)
+    goal = np.minimum(np.abs(targets), values[-1])
+    k = np.clip(np.searchsorted(values, goal, side="right") - 1, 0, len(values) - 2)
+    lo, hi = breaks[k], breaks[k + 1]
+    rise = values[k + 1] - values[k]
+    u = lo + (hi - lo) * np.divide(goal - values[k], rise, out=np.zeros_like(goal),
+                                   where=rise > 0.0)
+    out = np.empty_like(goal)
+    todo = np.arange(len(goal))
+    for steps in range(1, PSI_STEPS + 1):
+        integral, rho = _panel_integrals(profile, breaks[k], u, u)
+        residual = goal - (values[k] + integral)
+        lo = np.where(residual > 0.0, u, lo)
+        hi = np.where(residual < 0.0, u, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            delta = np.where(residual == 0.0, 0.0, residual / rho)
+            slope = (rho - rhos[k]) / (u - breaks[k])
+        new = u + delta
+        done = (delta == 0.0) | ((lo <= new) & (new <= hi)
+                                 & (0.5 * np.abs(slope) * delta * delta <= PSI_TOL))
+        if steps == PSI_STEPS:
+            done[:], new = True, np.clip(new, lo, hi)
+        out[todo[done]] = new[done]
+        todo, k, goal, lo, hi, new = (a[~done] for a in (todo, k, goal, lo, hi, new))
+        if not todo.size:
+            break
+        u = np.where((lo < new) & (new < hi), new, 0.5 * (lo + hi))
+    return np.copysign(out, targets)
 
 
 def _check_range(profile: Profile, t: float):

@@ -25,7 +25,7 @@ from hartogs.connection import (
     _christoffel_closed_terms,
     _segment_distances,
 )
-from hartogs.profile import GAP_REL, density
+from hartogs.profile import GAP_REL, density, psi_inverse
 
 DIRECTIONS = [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (-0.8, 0.3)]
 
@@ -199,6 +199,29 @@ class TestStops:
         with pytest.raises(OutsideDomainError):
             integrate_geodesic(p, SlicePoint(0.0, 999.9999999999), (0.0, 1.0), 1.0)
 
+    def test_direction_scale_is_immaterial(self):
+        # the direction is scaled to its largest component before its speed
+        # is squared: no underflow at 1e-170, no overflow at 1e200
+        p = parse_profile("(1 + 0.9*t)^(-2)", math.inf, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traces = [integrate_geodesic(p, SlicePoint(0.3, 0.1), (scale, scale), 3.0)
+                      for scale in (1e-170, 1.0, 1e200)]
+        for trace in traces:
+            for field in ("s", "points", "tangents", "energies"):
+                assert np.array_equal(getattr(trace, field), getattr(traces[1], field))
+
+    @pytest.mark.parametrize("direction", [(-1.0, 0.0), (0.0, 1.0)])
+    def test_start_past_the_escape_radius(self, direction):
+        # u = 60 lies past ESCAPE_RADIUS = 50: psi is laid out past the
+        # profile's table, and the inward ray crosses all of it
+        p = parse_profile("(1 + t)^(-2)", math.inf, 2)
+        start = SlicePoint(60.0, 0.0)
+        trace = integrate_geodesic(p, start, direction, 3.0)
+        reference = _rk45_points(p, start, direction, trace.s)
+        scale = np.maximum(1.0, np.abs(reference))
+        assert float(np.max(np.abs(trace.points - reference) / scale)) <= 1e-8
+
     def test_infinite_length_rejected(self):
         p = parse_profile("1 - t", 1.0, 2)
         with pytest.raises(ValueError):
@@ -238,6 +261,58 @@ class TestPsiAgainstQuad:
                 assert abs(psi(p, u) - ref) <= 1e-10 * max(1.0, abs(ref)), (family.name, u)
                 checked += 1
         assert checked == 100
+
+
+class _Counted:
+    """A compiled evaluator that counts its scalar calls and array passes."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = self.passes = 0
+
+    def __call__(self, t):
+        self.calls += 1
+        return self.fn(t)
+
+    def array(self, ts):
+        self.passes += 1
+        return self.fn.array(ts)
+
+
+def _counted_kcond(source, b):
+    p = parse_profile(source, b, 2)
+    p._kcond_fn = counter = _Counted(p._kcond_fn)
+    return p, counter
+
+
+class TestPsiTable:
+    def test_origin_geodesic_evaluates_kcond_in_arrays(self):
+        # psi is tabulated once and inverted for every sample at once, not
+        # marched sample by sample
+        p, kcond = _counted_kcond("1/(1 + t + 2*t^2)", math.inf)
+        trace = integrate_geodesic(p, SlicePoint(0.0, 0.0), (0.6, 0.8), 8.0)
+        assert len(trace) == 193
+        assert kcond.calls <= 2
+
+    def test_inverse_recovers_psi(self, battery):
+        rng = np.random.default_rng(20261019)
+        for family in battery:
+            p = family.profile
+            u_edge, psi_edge = p.edge
+            us = rng.uniform(-u_edge, u_edge, 64)
+            targets = np.array([psi(p, u) for u in us] + [psi_edge, -psi_edge, 0.0])
+            back = psi_inverse(p, targets, u_edge)
+            for target, u in zip(targets, back):
+                assert abs(psi(p, u) - target) <= 1e-10 * max(1.0, abs(target)), family.name
+
+    def test_array_passes_do_not_grow_with_the_samples(self):
+        passes = []
+        for length in (4.0, 16.0):
+            p, kcond = _counted_kcond("(1.8 - 0.6*t)^2", 3.0)
+            trace = integrate_geodesic(p, SlicePoint(0.0, 0.0), (0.6, 0.8), length)
+            assert trace.s[-1] == length
+            passes.append(kcond.passes)
+        assert 0 < passes[1] <= passes[0]
 
 
 class TestPrunedScreen:

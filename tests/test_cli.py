@@ -146,6 +146,11 @@ class TestGeodesicCommand:
         )
         assert code == EXIT_INPUT
 
+    def test_nan_start_is_outside_the_slice(self, capsys):
+        code = main(["geodesic", "--F", "1 - t", "--b", "1", "--start", "nan,0"])
+        assert code == EXIT_INPUT
+        assert "not strictly inside the slice (f - v^2 = nan)" in capsys.readouterr().err
+
 
 class TestCompletenessCommand:
     def test_incomplete_with_value(self, capsys):

@@ -13,8 +13,10 @@ from hartogs import (
     SlicePoint,
     beltrami_klein,
     hermitian_metric,
+    integrate_geodesic,
     parse_profile,
     potential,
+    psi_map,
     slice_metric,
     slice_metric_generic,
 )
@@ -44,6 +46,31 @@ class TestPotential:
             potential(p, DomainPoint(0j, (1 + 0j,)))
         with pytest.raises(OutsideDomainError):
             potential(p, DomainPoint(1.2 + 0j, (0j,)))
+
+
+NAN = math.nan
+
+
+class TestNonFinitePoints:
+    # a nan gap fails every comparison, so the guards test for being inside
+    @pytest.mark.parametrize("entry", [
+        lambda p: slice_metric(p, SlicePoint(NAN, 0.0)),
+        lambda p: slice_metric(p, SlicePoint(0.0, NAN)),
+        lambda p: slice_metric_jet(p, SlicePoint(NAN, 0.0)),
+        lambda p: psi_map(p, SlicePoint(NAN, 0.0)),
+        lambda p: psi_map(p, SlicePoint(0.0, NAN)),
+        lambda p: integrate_geodesic(p, SlicePoint(NAN, 0.0), (1.0, 0.0), 1.0),
+        lambda p: integrate_geodesic(p, SlicePoint(0.0, NAN), (1.0, 0.0), 1.0),
+        lambda p: potential(p, DomainPoint(complex(NAN, 0.0), (0j,))),
+        lambda p: potential(p, DomainPoint(0j, (complex(0.0, NAN),))),
+        lambda p: hermitian_metric(p, DomainPoint(complex(NAN, 0.0), (0j,))),
+        lambda p: beltrami_klein(NAN, 0.0),
+    ], ids=["slice_metric-u", "slice_metric-v", "slice_metric_jet-u", "psi_map-u", "psi_map-v",
+            "geodesic-u", "geodesic-v", "potential-z0", "potential-z", "hermitian-z0",
+            "beltrami_klein-x"])
+    def test_nan_is_outside(self, entry):
+        with pytest.raises(OutsideDomainError, match="nan"):
+            entry(parse_profile("1 - t", 1, 2))
 
 
 class TestHermitianMetric:
