@@ -10,7 +10,8 @@ denominator and the density stays evaluable where f itself underflows;
 kcond' and kcond'' come from L', L'' and L'''.  Grid passes (``on_grid``)
 evaluate each tree once, as a numpy array, with a per-point fallback.
 psi, the integral of the density sqrt(-kcond(u^2)), and its inverse read
-one table of Gauss-Legendre panels per profile, built on first use.
+one table of Gauss-Legendre panels per profile, built on first use, and so
+does the value of a convergent completeness integral.
 """
 
 from __future__ import annotations
@@ -208,33 +209,23 @@ def kcond(profile: Profile, t: float) -> float:
     return profile._kcond_fn(t)
 
 
-def density(profile: Profile, u: float) -> float:
-    """sqrt(-kcond(u^2)): the derivative of psi, the arc-length density of
-    the u-axis up to sqrt(2).
-
-    Validity of the profile is the caller's precondition.  Two roundoff
-    guards: far in the tail the density cancels to noise and may round
-    marginally negative (clamped to zero), and u*u may round one ulp past a
-    finite bound (pulled back inside).
-    """
-    t = u * u
-    if t >= profile.b:
-        t = math.nextafter(profile.b, 0.0)
-    return math.sqrt(max(-profile._kcond_fn(t), 0.0))
-
-
 # ---------------------------------------------------------------------------
 # psi and its inverse, read off one table per profile: the panel breaks
 # 0 = x_0 < x_1 < ... < x_K, with psi and the density at each
 
 def _panel_integrals(profile: Profile, left, right, at) -> tuple[np.ndarray, np.ndarray]:
-    """(GL6 integrals of the density over [left, right], the density at
-    the points at), in one array pass, with the guards of ``density``."""
+    """(GL6 integrals of the density sqrt(-kcond(u^2)) over [left, right],
+    the density at the points at), in one array pass.  Validity of the
+    profile is the caller's precondition.  Two roundoff guards: far in the
+    tail the density cancels to noise and may round marginally negative
+    (clamped to zero), and u*u that rounds past a finite bound or overflows
+    is pulled back inside."""
     half = 0.5 * (right - left)
     nodes = (0.5 * (right + left))[:, None] + half[:, None] * _GL6_NODES
     us = np.concatenate((nodes.ravel(), at))
-    (k,), errors = on_grid(profile, np.minimum(us * us, math.nextafter(profile.b, 0.0)),
-                           "_kcond_fn")
+    with np.errstate(over="ignore"):  # an inf square is pulled back inside b
+        ts = np.minimum(us * us, math.nextafter(profile.b, 0.0))
+    (k,), errors = on_grid(profile, ts, "_kcond_fn")
     if errors:
         raise errors[min(errors)]
     rho = np.sqrt(np.maximum(-k, 0.0))

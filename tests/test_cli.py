@@ -310,15 +310,22 @@ class TestOptionChecks:
 
 
 def test_import_loads_no_scipy():
-    # scipy is imported only where completeness needs quad
+    # scipy is a test-only dependency: neither the import nor a convergent
+    # completeness value, in either command that reports one, loads it
     src = str(Path(hartogs.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    probe = "import sys, hartogs.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    probe = (
+        "import contextlib, io, sys, hartogs.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [hartogs.cli.main([command, '--F', '(1 + t)^(-2)', '--b', 'inf'])\n"
+        "             for command in ('completeness', 'classify')]\n"
+        "print(codes, [m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.strip() == "[0, 0] []"
 
 
 # a value for every option a command declares; an option without one here

@@ -1,9 +1,11 @@
 """Disk maps, the completeness criterion, and the ball embedding."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.spatial import cKDTree
 
 from hartogs import (
@@ -28,14 +30,34 @@ from hartogs.hyperbolic import (
     _classify_tail,
     completeness_integrand,
 )
+from hartogs.expressions import ExpressionEvalError
 
 from conftest import FAST_DECAY, fd1, random_slice_points
+
+
+def _sqrt_log_density_integral() -> float:
+    # exp(-(1-t)*log(1-t) - 2*t) on b = 1 has -kcond = 1 - log(1-t) + t/(1-t),
+    # so the density is g(u) * (1 - u)^(-1/2) with g bounded; quad's
+    # algebraic weight takes the endpoint singularity exactly
+    def g(u):
+        w = 1.0 - u
+        return math.sqrt((w * (1.0 - math.log(w * (1.0 + u))) if w > 0.0 else 0.0)
+                         + u * u / (1.0 + u))
+
+    return quad(g, 0.0, 1.0, weight="alg", wvar=(0.0, -0.5),
+                epsabs=1e-14, epsrel=1e-13, limit=200)[0]
 
 
 class TestPsi:
     def test_zero(self, battery):
         for family in battery:
             assert psi(family.profile, 0.0) == 0.0
+
+    def test_overflowing_square_raises_without_warning(self):
+        # u^2 overflows to inf and is pulled back inside b; the density then
+        # fails to evaluate there, with no numpy warning on the way
+        with pytest.raises(ExpressionEvalError):
+            psi(parse_profile("(1 + t)^(-2)", math.inf, 2), 1e200)
 
     def test_spring_far_out(self):
         # the density of exp(-t) is 1, also where powers of f(u^2) underflow
@@ -177,6 +199,21 @@ class TestCompleteness:
         assert report.integral_value == pytest.approx(
             (math.pi / 2.0) * math.sqrt(p_exp), abs=1e-6
         )
+
+    @pytest.mark.parametrize("source,b,expected", [
+        ("1/(1 + t^3)", math.inf, lambda: math.pi / 2.0),
+        ("exp(-t)", 2.0, lambda: math.sqrt(2.0)),
+        ("(1 + t)^(-2)", 4.0, lambda: math.sqrt(2.0) * math.atan(2.0)),
+        ("exp(-(1-t)*log(1-t) - 2*t)", 1.0, _sqrt_log_density_integral),
+    ], ids=["cubic", "spring", "power", "sqrt_singular"])
+    def test_convergent_value_closed_form(self, source, b, expected):
+        # psi at the last rung plus the extrapolated tail, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = completeness(parse_profile(source, b, 2))
+        assert report.verdict == VERDICT_INCOMPLETE
+        assert report.integral_value == pytest.approx(expected(), rel=1e-9)
+        assert math.isfinite(report.diagnostics["tail"])
 
     def test_truncated_ball_incomplete(self):
         profile = parse_profile("1 - t", 0.25, 2)
