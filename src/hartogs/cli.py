@@ -3,7 +3,9 @@
 Exit codes: 0 pass, 1 property breach, 2 input error, 3 inconclusive.
 Every JSON report embeds the tool version, the merged configuration, the
 seed, and the wall time.  A JSON config file may supply any flag; flags
-given on the command line win.
+given on the command line win.  Every command but ``validate`` first
+validates the profile with its defaults; a profile that fails exits 1 with
+the violation summary as its report, and writes no --out file.
 """
 
 from __future__ import annotations
@@ -320,6 +322,10 @@ def main(argv=None) -> int:
     try:
         config = _merge_config(args)
         profile = parse_profile(config.expression, config.b, config.n)
+        if config.command != "validate" and not (gate := validate(profile)).valid:
+            breach = {"valid": False, "violations": gate.violation_summary()}
+            sys.stdout.write(_emit_report(config, started, report=breach))
+            return EXIT_BREACH
         payload, code, table = _COMMANDS[config.command][0](profile, config)
         _write_output(config, _emit_report(config, started, report=payload), table)
     except ExpressionSyntaxError as exc:

@@ -20,10 +20,10 @@ import numpy as np
 from .metric import (
     OutsideDomainError,
     SlicePoint,
-    require_inside_slice,
     slice_c,
-    slice_metric,
+    slice_metric_from,
     slice_metric_jet,
+    slice_values,
 )
 from .profile import GAP_REL, Profile, on_grid, psi_inverse, psi_value
 
@@ -48,18 +48,14 @@ class ChristoffelSlice:
     G222: float
 
 
-def _christoffel_closed_terms(profile: Profile, t: float, u: float, v: float):
-    """(det, G111, G211, G112, G212, G222) at (u, v) with t = u^2.
+def _christoffel_closed_terms(t: float, u: float, v: float, f, f1, f2, f3):
+    """(det, G111, G211, G112, G212, G222) at (u, v) from f..f3 at t = u^2.
 
     Total: a degenerate point gives det = 0 and nan symbols instead of an
     exception.  Only the RK45 oracle of the tests relies on that: its
     right-hand side probes trial steps just past the boundary, which step
     control rejects.
     """
-    f = profile.f(t)
-    f1 = profile.f1(t)
-    f2 = profile.f2(t)
-    f3 = profile.f3(t)
     w = f - v * v
     c = slice_c(t, f1, f2, w)
     w4 = w * w * w * w
@@ -84,10 +80,8 @@ def _christoffel_closed_terms(profile: Profile, t: float, u: float, v: float):
 
 def christoffel_closed(profile: Profile, sp: SlicePoint) -> ChristoffelSlice:
     """Closed-form Christoffel symbols of the slice metric at (u, v)."""
-    require_inside_slice(profile, sp)
-    det, g111, g211, g112, g212, g222 = _christoffel_closed_terms(
-        profile, sp.u * sp.u, sp.u, sp.v
-    )
+    _, values = slice_values(profile, sp, "f1", "f2", "f3")
+    det, g111, g211, g112, g212, g222 = _christoffel_closed_terms(sp.u * sp.u, sp.u, sp.v, *values)
     if det <= DEGENERATE_DET_TOL:
         raise DegenerateMetricError(f"metric degenerate at (u, v)=({sp.u}, {sp.v}), det={det}")
     return ChristoffelSlice(g111, g211, g112, g212, 0.0, g222)
@@ -197,19 +191,24 @@ class _Chord:
         """psi, eta, their derivatives in s and the relative slice gap
         (f - v^2) / f at the arc lengths s."""
         sigma = s / _SQRT2
-        logs, rates = [], []
+        logs, halves = [], []
         for log_a, log_b in zip(self.log_a, self.log_b):
             grow, decay = log_a + sigma, log_b - sigma
             logs.append(np.logaddexp(grow, decay) - _LOG2)  # log(X0 +- X1)
-            rates.append(np.tanh(0.5 * (grow - decay)))     # its sigma-derivative
+            halves.append(0.5 * (grow - decay))  # its sigma-derivative is tanh of this
         psi = 0.5 * (logs[0] - logs[1])
         log_norm = 0.5 * (logs[0] + logs[1])  # log sqrt(X0^2 - X1^2)
+        gap = np.exp(-2.0 * log_norm)
         grow = 0.5 * self.a2 * np.exp(sigma - log_norm)
         decay = 0.5 * self.b2 * np.exp(-sigma - log_norm)
-        eta = grow + decay
-        dpsi = 0.5 * (rates[0] - rates[1]) / _SQRT2
-        deta = (grow - decay - 0.5 * eta * (rates[0] + rates[1])) / _SQRT2
-        return psi, eta, dpsi, deta, np.exp(-2.0 * log_norm)
+        # tanh x - tanh y = sinh(x - y) / (cosh x cosh y), which does not
+        # cancel as both near 1, except where a cosh overflows; and
+        # eta' = X2' / N^3 with N^2 = X0^2 - X1^2, as X0 X0' - X1 X1' = X2 X2'
+        x, y = halves
+        with np.errstate(over="ignore", invalid="ignore"):
+            dpsi = np.sinh(x - y) / (np.cosh(x) * np.cosh(y))
+        dpsi = np.where(np.isfinite(dpsi), dpsi, np.tanh(x) - np.tanh(y))
+        return psi, grow + decay, 0.5 * dpsi / _SQRT2, (grow - decay) * gap / _SQRT2, gap
 
     def cut(self, level: float) -> float:
         """Arc length at which psi reaches level, or inf if it does not.
@@ -247,7 +246,7 @@ def _chord_samples(profile: Profile, chord: _Chord, s, u_edge: float, u_end):
     if u_end is not None:
         u[-1] = u_end
     t = u * u
-    (f, f1, f2, k), errors = on_grid(profile, t, "f", "f1", "f2", "_kcond_fn")
+    (f, f1, f2, log_d, k), errors = on_grid(profile, t, "f", "f1", "f2", "L", "kcond")
     if errors:
         raise errors[min(errors)]
     sqrt_f = np.sqrt(f)
@@ -258,7 +257,7 @@ def _chord_samples(profile: Profile, chord: _Chord, s, u_edge: float, u_end):
     near = gap < 0.5
     v[near] = np.copysign(np.sqrt(f[near] - w[near]), eta[near])
     du = dpsi / np.sqrt(np.maximum(-k, 0.0))  # the density is psi'(u)
-    dv = sqrt_f * (deta + eta * u * (f1 / f) * du)
+    dv = sqrt_f * (deta + eta * u * log_d * du)
     energies = 2.0 / (w * w) * (
         slice_c(t, f1, f2, w) * du * du - 2.0 * f1 * u * v * du * dv + f * dv * dv
     )
@@ -288,7 +287,7 @@ def integrate_geodesic(
     set when s_end < length; a trace that stops at the edge ends at
     u = +-u_edge.
     """
-    require_inside_slice(profile, start)
+    w0, (f0, f1_0, f2_0, k0) = slice_values(profile, start, "f1", "f2", "kcond")
     direction = np.asarray(direction, dtype=float)
     if direction.shape != (2,) or not np.all(np.isfinite(direction)):
         raise ValueError("direction must be a finite 2-vector")
@@ -298,18 +297,18 @@ def integrate_geodesic(
         raise ValueError("length must be positive and finite")
 
     direction = direction / np.max(np.abs(direction))  # squares neither underflow nor overflow
-    speed_sq = slice_metric(profile, start).inner(direction, direction)
+    speed_sq = slice_metric_from(start, w0, (f0, f1_0, f2_0)).inner(direction, direction)
     if speed_sq <= 0:
         raise DegenerateMetricError("metric not positive along the initial direction")
     du, dv = direction / math.sqrt(speed_sq)
 
     u0, v0 = start.u, start.v
-    f0 = profile.f(u0 * u0)
     eta0 = v0 / math.sqrt(f0)
-    psi0, rho0 = psi_value(profile, u0)
+    psi0 = psi_value(profile, u0)[0] if u0 else 0.0
+    rho0 = math.sqrt(max(-k0, 0.0))  # the density, psi'(u0)
     # a start past the edge stands for it
     u_edge, psi_edge = max(profile.edge, (abs(u0), abs(psi0)))
-    deta0 = dv / math.sqrt(f0) - eta0 * u0 * profile.f1(u0 * u0) / f0 * du
+    deta0 = dv / math.sqrt(f0) - eta0 * u0 * f1_0 / f0 * du
     chord = _Chord(psi0, eta0, rho0 * du, deta0)
 
     s_edge = chord.cut(math.copysign(psi_edge, du))
@@ -490,7 +489,7 @@ def residual_ode(profile: Profile, t: float) -> float:
     """
     if not 0.0 <= t < profile.b:
         raise ValueError(f"t={t} outside the profile range [0, {profile.b})")
-    return residual_terms(t, profile.f(t), profile.f1(t), profile.f2(t), profile.f3(t))
+    return residual_terms(t, *profile.values(t, "f", "f1", "f2", "f3"))
 
 
 def residual_terms(t, f, f1, f2, f3):
@@ -521,13 +520,9 @@ def straightline_residual_algebraic(profile: Profile, k: float, u: float) -> flo
     ``straightline_residual``; kept separate as an independent check.
     """
     v = k * u
-    require_inside_slice(profile, SlicePoint(u, v))
+    w, (f, f1, f2, f3) = slice_values(profile, SlicePoint(u, v), "f1", "f2", "f3")
     t = u * u
-    f = profile.f(t)
-    f1 = profile.f1(t)
-    f2 = profile.f2(t)
-    w = f - v * v
     c = slice_c(t, f1, f2, w)
     det = 4.0 * (c * f - f1 * f1 * t * v * v) / (w * w * w * w)
     denom = det * (k * k * u * u - f) ** 3
-    return -4.0 * k * u * residual_ode(profile, t) / denom
+    return -4.0 * k * u * residual_terms(t, f, f1, f2, f3) / denom

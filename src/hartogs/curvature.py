@@ -4,11 +4,12 @@ The Gaussian curvature of the slice is evaluated with the Brioschi formula
 on the analytic metric jet; for every valid profile it comes out -1/2 to
 near machine precision.  The base surface {z = 0} carries the conformal
 metric with density -2*kcond.  Its curvature, (mu' + x*mu'')/kcond with
-mu = log(-kcond), needs only kcond' = 2L' + t*L'' and kcond'' = 3L'' + t*L'''
-besides kcond, with L = f'/f, and it classifies the profile families on a
-grid of numpy arrays: flat base <-> c*exp(-k t), constant K0 != 0 <->
-(c1 + c2 t)^(-2/K0), and the vanishing of the straight-line residual
-singles out the linear profiles of the complex-hyperbolic case.
+mu = log(-kcond), needs kcond, kcond' and kcond'', which the profile's
+order-4 jet gives from the coefficients of log f.  The classifier takes
+f..f3 and these from one jet of its grid: flat base <-> c*exp(-k t),
+constant K0 != 0 <-> (c1 + c2 t)^(-2/K0), and the vanishing of the
+straight-line residual singles out the linear profiles of the
+complex-hyperbolic case.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .connection import residual_terms
 from .metric import SlicePoint, slice_metric_jet
-from .profile import Profile, chebyshev_grid, kcond, on_grid
+from .profile import Profile, _check_range, chebyshev_grid, on_grid
 
 FAMILY_HYPERBOLIC = "hyperbolic"
 FAMILY_SPRING = "spring"
@@ -77,18 +78,17 @@ def gauss_curvature_base(profile: Profile, x: float) -> float:
     is -2*(mu' + x*mu'')/lam with mu = log(lam); in terms of k, with
     mu' = k'/k and mu'' = k''/k - mu'^2, that is (mu' + x*mu'')/k.
     """
-    k = kcond(profile, x)
+    _check_range(profile, x)
+    k, k1, k2 = profile.values(x, "kcond", "kcond1", "kcond2")
     if k >= 0.0:
         raise ArithmeticError(f"base metric degenerate at x={x} (density {-2.0 * k})")
-    return _base_curvature(x, *profile._log_jet(x))
+    return _base_curvature(x, k, k1, k2)
 
 
-def _base_curvature(x, log_d, log_d1, log_d2, log_d3):
-    # floats or arrays: the n-th derivative of kcond = (x*L)' is
-    # (n+1)*L^(n) + x*L^(n+1), from the values of L..L'''
-    k = log_d + x * log_d1
-    mu1 = (2.0 * log_d1 + x * log_d2) / k
-    mu2 = (3.0 * log_d2 + x * log_d3) / k - mu1 * mu1
+def _base_curvature(x, k, k1, k2):
+    # floats or arrays, from kcond and its first two derivatives
+    mu1 = k1 / k
+    mu2 = k2 / k - mu1 * mu1
     return (mu1 + x * mu2) / k
 
 
@@ -98,8 +98,9 @@ def monge_ampere_J(profile: Profile, x: float) -> float:
     Constant in x exactly for the linear profiles, where the metric is
     Einstein.
     """
-    f = profile.f(x)
-    return -f * f * kcond(profile, x)
+    _check_range(profile, x)
+    f, k = profile.values(x, "f", "kcond")
+    return -f * f * k
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,7 @@ def einstein_check(profile: Profile, grid: int = 64) -> EinsteinReport:
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
     upper = profile.grid_limit() * (1.0 - 1e-6)
-    (f, k), errors = on_grid(profile, chebyshev_grid(upper, grid), "f", "_kcond_fn")
+    (f, k), errors = on_grid(profile, chebyshev_grid(upper, grid), "f", "kcond")
     if errors:
         raise errors[min(errors)]
     with np.errstate(all="ignore"):  # inf and nan pass on, as in float arithmetic
@@ -155,12 +156,11 @@ def classify_profile(profile: Profile, grid: int = 64) -> ClassificationResult:
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
     ts = chebyshev_grid(profile.grid_limit() * (1.0 - 1e-6), grid)
-
-    f0 = profile.f(0.0)
-    f1_0 = profile.f1(0.0)
-    (f, f1, f2, f3), errors = on_grid(profile, ts, "f", "f1", "f2", "f3")
+    (f, f1, f2, f3, k_grid, *k_derivatives), errors = on_grid(
+        profile, ts, "f", "f1", "f2", "f3", "kcond", "kcond1", "kcond2")
     if errors:
         raise errors[min(errors)]
+    f0, f1_0 = float(f[0]), float(f1[0])  # ts[0] = 0
     with np.errstate(all="ignore"):  # inf and nan pass on, as in float arithmetic
         residual_max = _max(np.abs(residual_terms(ts, f, f1, f2, f3)))
         residual_scale = _max(
@@ -175,11 +175,10 @@ def classify_profile(profile: Profile, grid: int = 64) -> ClassificationResult:
                     FAMILY_HYPERBOLIC, {"c1": c1, "c2": c2}, fit, None
                 )
 
-        (k_grid, *log_d), errors = on_grid(profile, ts, "_kcond_fn", "_log_jet")
-        bad = [*errors, *np.flatnonzero(k_grid >= 0.0).tolist()]
-        if bad:  # raise what gauss_curvature_base raises at the first bad point
-            gauss_curvature_base(profile, float(ts[min(bad)]))
-        curvatures = _base_curvature(ts, *log_d)
+        bad = np.flatnonzero(k_grid >= 0.0)
+        if bad.size:  # raise what gauss_curvature_base raises at the first bad point
+            gauss_curvature_base(profile, float(ts[bad[0]]))
+        curvatures = _base_curvature(ts, k_grid, *k_derivatives)
         k_mean = float(np.mean(curvatures))
         spread = _max(np.abs(curvatures - k_mean))
 

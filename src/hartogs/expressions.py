@@ -1,24 +1,40 @@
-"""Expression trees for profile functions of a single variable t.
+"""Expression trees for profile functions of a single variable t, and
+their Taylor jets.
 
 The grammar is deliberately small -- arithmetic, constant powers, exp and
 log -- because everything downstream only needs smooth univariate profiles
-together with exact derivative trees:
+and their derivatives:
 
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
     factor := '-' factor | atom ('^' exponent)?
     atom   := NUMBER | 't' | ('exp'|'log') '(' expr ')' | '(' expr ')'
 
-The exponent of '^' is parsed as a factor and must fold to a constant.
-Whitespace is insignificant.  Trees are immutable; differentiation and
-simplification return new trees.  Simplification is conservative: constant
-folding plus 0/1 identities, no symbolic equality decisions.
+The exponent of '^' is parsed as a factor and must fold to a finite
+constant.  Whitespace is insignificant.  Trees are immutable.
+
+``jet`` walks a tree once and propagates its truncated Taylor coefficients
+at t, to a given order, over a float or a numpy array of points
+(Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13).  A jet is
+(DIRECT, c), the value sum c_k h^k at t + h, or (LOG, sign, l, v), the
+value sign * exp(sum l_k h^k), so l_0 = log|g| and the l_k are the
+coefficients of log|g|, with v the value of g itself.  A node keeps LOG
+wherever its operands allow: products, quotients and constant powers add,
+subtract and scale the l, exp is unwrapped (the log of exp(g) is g), and a
+sum of LOG jets is taken by log-sum-exp.  So the log-derivatives of a
+profile stay exact where its value underflows float64.  Where a factor may
+vanish -- t, t^2 at 0, a sum that cancels -- the node keeps the direct
+jet.  Values themselves (c_0 and v) are taken by the plain float operation
+of each node on the values of its operands, so they equal a plain
+evaluation of the tree wherever that evaluates; only log|g| and the
+derivatives come from the log coefficients.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,10 +191,10 @@ class _Parser:
         if kind == "op" and text == "^":
             self._advance()
             _, _, exp_pos = self._peek()
-            exponent = simplify(self._factor())
-            if not isinstance(exponent, Num):
-                raise ExpressionSyntaxError("exponent must be a constant", exp_pos)
-            return Pow(node, exponent.value)
+            exponent = _constant(self._factor())
+            if exponent is None:
+                raise ExpressionSyntaxError("exponent must be a finite constant", exp_pos)
+            return Pow(node, exponent)
         return node
 
     def _atom(self) -> Expr:
@@ -216,120 +232,6 @@ def parse_expression(src: str) -> Expr:
         return parser.parse()
     except RecursionError:
         raise ExpressionSyntaxError("expression nested too deeply", parser._peek()[2]) from None
-
-
-# ---------------------------------------------------------------------------
-# Differentiation and simplification
-
-def differentiate(expr: Expr) -> Expr:
-    """Exact derivative tree with respect to t (unsimplified)."""
-    match expr:
-        case Num(_):
-            return Num(0.0)
-        case Var():
-            return Num(1.0)
-        case Add(a, b):
-            return Add(differentiate(a), differentiate(b))
-        case Sub(a, b):
-            return Sub(differentiate(a), differentiate(b))
-        case Mul(a, b):
-            return Add(Mul(differentiate(a), b), Mul(a, differentiate(b)))
-        case Div(a, b):
-            num = Sub(Mul(differentiate(a), b), Mul(a, differentiate(b)))
-            return Div(num, Pow(b, 2.0))
-        case Pow(g, c):
-            return Mul(Mul(Num(c), Pow(g, c - 1.0)), differentiate(g))
-        case Exp(g):
-            return Mul(Exp(g), differentiate(g))
-        case Log(g):
-            return Div(differentiate(g), g)
-        case Neg(g):
-            return Neg(differentiate(g))
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
-def _fold_unary(op, arg: float) -> Expr | None:
-    try:
-        value = op(arg)
-    except (ValueError, OverflowError, ZeroDivisionError):
-        return None
-    return Num(value) if math.isfinite(value) else None
-
-
-def simplify(expr: Expr) -> Expr:
-    """Constant folding and 0/1 identities, applied bottom-up."""
-    match expr:
-        case Num(_) | Var():
-            return expr
-        case Add(a, b):
-            a, b = simplify(a), simplify(b)
-            if isinstance(a, Num) and isinstance(b, Num):
-                return Num(a.value + b.value)
-            if isinstance(a, Num) and a.value == 0.0:
-                return b
-            if isinstance(b, Num) and b.value == 0.0:
-                return a
-            return Add(a, b)
-        case Sub(a, b):
-            a, b = simplify(a), simplify(b)
-            if isinstance(a, Num) and isinstance(b, Num):
-                return Num(a.value - b.value)
-            if isinstance(b, Num) and b.value == 0.0:
-                return a
-            if isinstance(a, Num) and a.value == 0.0:
-                return simplify(Neg(b))
-            return Sub(a, b)
-        case Mul(a, b):
-            a, b = simplify(a), simplify(b)
-            if isinstance(a, Num) and isinstance(b, Num):
-                return Num(a.value * b.value)
-            if (isinstance(a, Num) and a.value == 0.0) or (isinstance(b, Num) and b.value == 0.0):
-                return Num(0.0)
-            if isinstance(a, Num) and a.value == 1.0:
-                return b
-            if isinstance(b, Num) and b.value == 1.0:
-                return a
-            return Mul(a, b)
-        case Div(a, b):
-            a, b = simplify(a), simplify(b)
-            if isinstance(a, Num) and isinstance(b, Num) and b.value != 0.0:
-                return Num(a.value / b.value)
-            if isinstance(b, Num) and b.value == 1.0:
-                return a
-            return Div(a, b)
-        case Pow(g, c):
-            g = simplify(g)
-            if c == 0.0:
-                return Num(1.0)
-            if c == 1.0:
-                return g
-            if isinstance(g, Num):
-                folded = _fold_unary(lambda base: math.pow(base, c), g.value)
-                if folded is not None:
-                    return folded
-            return Pow(g, c)
-        case Exp(g):
-            g = simplify(g)
-            if isinstance(g, Num):
-                folded = _fold_unary(math.exp, g.value)
-                if folded is not None:
-                    return folded
-            return Exp(g)
-        case Log(g):
-            g = simplify(g)
-            if isinstance(g, Num):
-                folded = _fold_unary(math.log, g.value)
-                if folded is not None:
-                    return folded
-            return Log(g)
-        case Neg(g):
-            g = simplify(g)
-            if isinstance(g, Num):
-                return Num(-g.value)
-            if isinstance(g, Neg):
-                return g.arg
-            return Neg(g)
-    raise TypeError(f"not an expression node: {expr!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -397,106 +299,265 @@ def to_source(expr: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Taylor jets, to n terms (a shorter list ends in zeros)
+#
+# A coefficient that does not depend on t stays a float: a tree without t is
+# a DIRECT jet of floats.  A walk with value False may leave sign, l_0 and v
+# of a LOG jet as 1.0, 0.0 and None, where the nodes above it need only the
+# l_k; its DIRECT jets may then be off by a constant factor.  Nothing raises
+# on a float where numpy would give inf, nan or 0, so that a walk runs the
+# same on a float t and on an array of points.
 
-def evaluate(expr: Expr, t: float) -> float:
-    """Tree-walking evaluation with guards on division, log, and powers."""
-    match expr:
-        case Num(v):
-            return v
-        case Var():
-            return float(t)
-        case Add(a, b):
-            return evaluate(a, t) + evaluate(b, t)
-        case Sub(a, b):
-            return evaluate(a, t) - evaluate(b, t)
-        case Mul(a, b):
-            return evaluate(a, t) * evaluate(b, t)
-        case Div(a, b):
-            den = evaluate(b, t)
-            if den == 0.0:
-                raise ExpressionEvalError(f"division by zero at t={t}")
-            return evaluate(a, t) / den
-        case Pow(g, c):
-            base = evaluate(g, t)
-            try:
-                return math.pow(base, c)
-            except (ValueError, OverflowError) as exc:
-                raise ExpressionEvalError(f"pow({base}, {c}) undefined at t={t}") from exc
-        case Exp(g):
-            try:
-                return math.exp(evaluate(g, t))
-            except OverflowError as exc:
-                raise ExpressionEvalError(f"exp overflow at t={t}") from exc
-        case Log(g):
-            arg = evaluate(g, t)
-            if arg <= 0.0:
-                raise ExpressionEvalError(f"log of non-positive value {arg} at t={t}")
-            return math.log(arg)
-        case Neg(g):
-            return -evaluate(g, t)
-    raise TypeError(f"not an expression node: {expr!r}")
+DIRECT, LOG = 0, 1
+_MIN_NORMAL = sys.float_info.min
 
 
-def _emit(expr: Expr) -> str:
-    match expr:
-        case Num(v):
-            return repr(float(v))
-        case Var():
-            return "t"
-        case Add(a, b):
-            return f"({_emit(a)} + {_emit(b)})"
-        case Sub(a, b):
-            return f"({_emit(a)} - {_emit(b)})"
-        case Mul(a, b):
-            return f"({_emit(a)} * {_emit(b)})"
-        case Div(a, b):
-            return f"({_emit(a)} / {_emit(b)})"
-        case Pow(g, c):
-            return f"_pow({_emit(g)}, {c!r})"
-        case Exp(g):
-            return f"_exp({_emit(g)})"
-        case Log(g):
-            return f"_log({_emit(g)})"
-        case Neg(g):
-            return f"(-{_emit(g)})"
-    raise TypeError(f"not an expression node: {expr!r}")
+class Walk:
+    """The points t of one walk, float or array, its number of Taylor terms
+    n, and, by point index, the first reason a guard failed there.  A walk
+    runs under np.errstate(all="ignore") and goes on past a failed guard."""
+
+    def __init__(self, t, order: int):
+        self.t, self.n, self.failures = t, order + 1, {}
+
+    def fail(self, bad, reason: str):
+        if _any(bad):
+            for i in np.flatnonzero(np.broadcast_to(bad, np.shape(self.t))).tolist():
+                self.failures.setdefault(i, reason)
 
 
-def _guarded_log(x: float) -> float:
-    if x <= 0.0:
-        raise ValueError(f"log of non-positive value {x}")
-    return math.log(x)
+def _any(mask) -> bool:
+    # the method, as np.any costs several times more on a short array
+    return mask.any() if isinstance(mask, np.ndarray) else bool(mask)
 
 
-def compile_expression(expr: Expr | tuple[Expr, ...]):
-    """Compile a tree, or a tuple of trees, to a fast float callable with the
-    same guards as :func:`evaluate`.  Its ``array`` twin runs the same code
-    on numpy arrays (a tree without t gives a float).  Under
-    np.errstate(all="raise") the twin raises FloatingPointError (or
-    ZeroDivisionError, for a constant divided by zero) wherever the callable
-    raises and at any overflow or invalid step that the callable passes on
-    as inf or nan; elsewhere the two differ only in the last-ulp rounding of
-    numpy's exp, log and power.
-    """
-    body = f"({', '.join(map(_emit, expr))},)" if isinstance(expr, tuple) else _emit(expr)
-    source = f"lambda t: {body}"
-    # folded constants may be infinite or nan, and print as bare inf/nan
-    namespace = {"_pow": math.pow, "_exp": math.exp, "_log": _guarded_log,
-                 "inf": math.inf, "nan": math.nan}
-    try:
-        raw = eval(code := compile(source, "<profile-expression>", "eval"), namespace)
-    except (RecursionError, SyntaxError):
-        # CPython nests at most 200 parentheses, fewer than the parser allows;
-        # the tree keeps no source offsets, so the error points at the start
-        raise ExpressionSyntaxError("expression nested too deeply", 0) from None
+# math on a float where its value is finite, as it is faster there, and
+# numpy elsewhere
+def _exp(x):
+    return math.exp(x) if type(x) is float and -745.0 < x < 709.0 else np.exp(x)
 
-    def evaluator(t: float) -> float:
+
+def _sign_log(x) -> tuple:
+    if type(x) is float and 0.0 < abs(x) < math.inf:
+        return math.copysign(1.0, x), math.log(abs(x))
+    return np.sign(x), np.log(np.abs(x))
+
+
+def _divide(x, v):
+    return x / v if type(v) is float and v != 0.0 else np.true_divide(x, v)
+
+
+def _pow(x, p: float):
+    if type(x) is float:
         try:
-            return raw(t)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise ExpressionEvalError(f"{exc} at t={t}") from exc
+            return math.pow(x, p)
+        except (OverflowError, ValueError):
+            pass
+    return np.power(x, p)
 
-    evaluator.source = source  # type: ignore[attr-defined]
-    evaluator.array = eval(code, dict(namespace, _pow=np.power, _exp=np.exp, _log=np.log))  # type: ignore
-    return evaluator
+
+def jet(expr: Expr, walk: Walk, value: bool = True) -> tuple:
+    """The jet of expr at walk.t, in one walk of the tree."""
+    return _RULES[type(expr)](expr, walk, value)
+
+
+_RULES = {
+    Num: lambda e, w, value: (DIRECT, [e.value]),
+    Var: lambda e, w, value: (DIRECT, [w.t, 1.0][:w.n]),
+    Neg: lambda e, w, value: _negated(jet(e.arg, w, value)),
+    Add: lambda e, w, value: _sum(jet(e.left, w), jet(e.right, w), w),
+    Sub: lambda e, w, value: _sum(jet(e.left, w), _negated(jet(e.right, w)), w),
+    Mul: lambda e, w, value: _product(jet(e.left, w, value), jet(e.right, w, value), w, value),
+    Div: lambda e, w, value: _quotient(jet(e.left, w, value), jet(e.right, w, value), w, value),
+    Pow: lambda e, w, value: _power(  # a fractional power checks the sign of its base
+        jet(e.base, w, value or not e.exponent.is_integer()), e.exponent, w, value),
+    Exp: lambda e, w, value: _exponential(direct_form(jet(e.arg, w), w), value),
+    Log: lambda e, w, value: _log(jet(e.arg, w), w),
+}
+
+
+def _constant(expr: Expr) -> float | None:
+    """The value of a tree without t, if it is finite."""
+    walk = Walk(None, 0)
+    try:
+        with np.errstate(all="ignore"):
+            value = float(direct_form(jet(expr, walk), walk)[0])
+    except TypeError:  # t is None
+        return None
+    return value if math.isfinite(value) and not walk.failures else None
+
+
+def _plus(a: list, b: list) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    return [x + y for x, y in zip(a, b)] + a[len(b):]
+
+
+def _times(x, y):
+    # the float 1.0 of t's jet, and of e_0, costs no array operation
+    if type(y) is float and y == 1.0:
+        return x
+    return y if type(x) is float and x == 1.0 else x * y
+
+
+def _cauchy(a: list, b: list, n: int) -> list:
+    """The product of two coefficient lists, to n terms."""
+    if len(a) == 1 or len(b) == 1:  # a constant factor, or order 0
+        v, other = (a[0], b) if len(a) == 1 else (b[0], a)
+        return [_times(v, x) for x in other]
+    out = []
+    for k in range(min(n, len(a) + len(b) - 1)):
+        i = max(0, k - len(b) + 1)
+        total = _times(a[i], b[k - i])
+        for i in range(i + 1, min(k, len(a) - 1) + 1):
+            total = total + _times(a[i], b[k - i])
+        out.append(total)
+    return out
+
+
+def _exp_series(l: list, n: int) -> list:
+    """The coefficients of exp(l_1 h + l_2 h^2 + ...), to n terms, from
+    k e_k = sum_j j l_j e_(k-j) with e_0 = 1."""
+    m = len(l) - 1
+    jl = [j * l[j] if j > 1 else l[j] for j in range(m + 1)]
+    e = [1.0]
+    for k in range(1, n if m else 1):
+        total = jl[k] if k <= m else 0.0
+        for j in range(1, min(k - 1, m) + 1):
+            total = total + jl[j] * e[k - j]
+        e.append(total / k if k > 1 else total)
+    return e
+
+
+def _log_series(c: list, n: int) -> list:
+    """l_1.. of log(c(h) / c_0), to n terms in all, from
+    k l_k = k r_k - sum_(j<k) j l_j r_(k-j) with r = c / c_0."""
+    m = len(c) - 1
+    inv = _divide(1.0, c[0]) if m else None
+    r = [None, *[x * inv for x in c[1:]]]
+    l = [None]
+    for k in range(1, n if m else 1):
+        tail = None
+        for j in range(max(1, k - m), k):
+            term = (l[j] if j == 1 else j * l[j]) * r[k - j]
+            tail = term if tail is None else tail + term
+        l.append(r[k] if tail is None else (r[k] - tail / k if k <= m else tail / -k))
+    return l[1:]
+
+
+def direct_form(x, walk: Walk) -> list:
+    """The Taylor coefficients of a jet's value."""
+    if x[0] == DIRECT:
+        return x[1]
+    v = 1.0 if x[3] is None else x[3]
+    return [v, *[_times(v, e) for e in _exp_series(x[2], walk.n)[1:]]]
+
+
+def log_form(x, walk: Walk, reason: str | None, value: bool = True) -> tuple:
+    """(sign, l, v) of a jet.  Where its value vanishes l_0 is -inf and the
+    l_k are not finite, and the guard fails with reason, unless None."""
+    if x[0] == LOG:
+        return x[1:]
+    c = x[1]
+    if reason is not None:
+        walk.fail(c[0] == 0.0, reason)
+    if not value:
+        return 1.0, [0.0, *_log_series(c, walk.n)], None
+    sign, log_c0 = _sign_log(c[0])
+    return sign, [log_c0, *_log_series(c, walk.n)], c[0]
+
+
+def _negated(x):
+    if x[0] == DIRECT:
+        return DIRECT, [-v for v in x[1]]
+    return LOG, -x[1], x[2], None if x[3] is None else -x[3]
+
+
+def _exponential(c: list, value: bool):
+    return LOG, 1.0, c, _exp(c[0]) if value else None
+
+
+def _product(a, b, walk: Walk, value: bool):
+    """A sum of logs, unless a factor is a constant, which scales the
+    other exactly, or vanishes somewhere, where its log has no jet."""
+    if a[0] == LOG or b[0] == DIRECT and len(b[1]) == 1:
+        a, b = b, a
+    if a[0] == DIRECT and (b[0] == DIRECT and len(a[1]) == 1 or _any(a[1][0] == 0.0)
+                           or b[0] == DIRECT and _any(b[1][0] == 0.0)):
+        return DIRECT, _cauchy(a[1], direct_form(b, walk), walk.n)
+    (sa, la, va), (sb, lb, vb) = log_form(a, walk, None, value), log_form(b, walk, None, value)
+    return LOG, sa * sb, _plus(la, lb), None if va is None or vb is None else va * vb
+
+
+def _quotient(a, b, walk: Walk, value: bool):
+    if a[0] == b[0] == DIRECT and len(b[1]) == 1:  # exactly, by a constant (or at order 0)
+        walk.fail(b[1][0] == 0.0, "division by zero")
+        return DIRECT, [_divide(x, b[1][0]) for x in a[1]]
+    sb, lb, vb = log_form(b, walk, "division by zero", value)
+    lb = [-x for x in lb]
+    if a[0] == DIRECT and _any(a[1][0] == 0.0):  # a numerator that vanishes somewhere
+        recip = None if vb is None else _divide(1.0, vb)
+        c = _cauchy(a[1], direct_form((LOG, sb, lb, recip), walk), walk.n)
+        return DIRECT, [c[0] if vb is None else _divide(a[1][0], vb), *c[1:]]
+    sa, la, va = log_form(a, walk, None, value)
+    return LOG, sa * sb, _plus(la, lb), None if va is None or vb is None else _divide(va, vb)
+
+
+def _sum(a, b, walk: Walk):
+    """A sum: of two LOG jets, the larger term times 1 + the ratio of the
+    other to it, whose log is taken on the ratio's own log jet, so that
+    nothing cancels; of others, or where that sum vanishes, direct."""
+    if a[0] == b[0] == LOG:
+        (_, sa, la, va), (_, sb, lb, vb) = a, b
+        la, lb = (la + [0.0] * (len(lb) - len(la))), (lb + [0.0] * (len(la) - len(lb)))
+        swap = lb[0] > la[0]
+        if _any(swap):
+            sa, sb = np.where(swap, sb, sa), np.where(swap, sa, sb)
+            la, lb = ([np.where(swap, y, x) for x, y in zip(la, lb)],
+                      [np.where(swap, x, y) for x, y in zip(la, lb)])
+        ratio = [y - x for x, y in zip(la, lb)]
+        scale = sa * sb * _exp(ratio[0])
+        w = [scale * v for v in _exp_series(ratio, walk.n)]
+        w[0] = w[0] + 1.0
+        if not _any(w[0] == 0.0):
+            sign, log_w0 = _sign_log(w[0])
+            return LOG, sa * sign, _plus(la, [log_w0, *_log_series(w, walk.n)]), va + vb
+    return DIRECT, _plus(direct_form(a, walk), direct_form(b, walk))
+
+
+def _power(x, p: float, walk: Walk, value: bool):
+    integral = p.is_integer()
+    # an exact product, which keeps a base that may vanish; past the square,
+    # log space where the product could underflow and the base does not vanish
+    if x[0] == DIRECT and integral and p >= 0.0 and (
+            p <= 2.0 or not _any(np.abs(x[1][0]) < 1e-300 ** (1.0 / p)) or _any(x[1][0] == 0.0)):
+        c = [1.0]
+        for _ in range(int(p)):
+            c = _cauchy(c, x[1], walk.n)
+        # up to the square the product rounds as the power does
+        return DIRECT, c if p <= 2.0 else [_pow(x[1][0], p), *c[1:]]
+    # the sign of the base; a zero base to a power p > 0 is 0, with infinite
+    # derivatives past p, and has no log
+    base, vanishes = x[1][0] if x[0] == DIRECT else x[1], False
+    if (not integral or p < 0.0) and _any(base <= 0.0):
+        if not integral:
+            walk.fail(base < 0.0, "power of a negative value")
+            vanishes = p > 0.0 and x[0] == DIRECT and _any(base == 0.0)
+        if p < 0.0:
+            walk.fail(base == 0.0, "division by zero")
+    sign, l, v = log_form(x, walk, None, value or vanishes)
+    out = LOG, sign if p % 2.0 == 1.0 else 1.0, [p * y for y in l], None if v is None else _pow(v, p)
+    # the value 0 of a zero base is no underflow, and keeps the direct jet
+    return (DIRECT, direct_form(out, walk)) if vanishes else out
+
+
+def _log(x, walk: Walk):
+    walk.fail((x[1] if x[0] == LOG else x[1][0]) <= 0.0, "log of a non-positive value")
+    _, l, v = log_form(x, walk, None)
+    if x[0] == DIRECT:
+        return DIRECT, l
+    # the log of the value itself, but where that underflowed, log|g|
+    if type(v) is float and _MIN_NORMAL <= v < math.inf:
+        return DIRECT, [math.log(v), *l[1:]]
+    under = np.abs(v) < _MIN_NORMAL
+    return DIRECT, [np.where(under, l[0], np.log(np.where(under, 1.0, v))), *l[1:]]

@@ -20,15 +20,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .curvature import FAMILY_HYPERBOLIC, classify_profile
 from .metric import (
     DomainPoint,
     OutsideDomainError,
     SlicePoint,
-    require_inside,
-    require_inside_slice,
+    domain_values,
+    slice_values,
 )
-from .profile import Profile, kcond, psi_value
+from .profile import Profile, kcond, on_grid, psi_value
 
 VERDICT_COMPLETE = "complete"
 VERDICT_INCOMPLETE = "incomplete"
@@ -50,12 +52,13 @@ class ProfileFamilyError(ValueError):
 
 def completeness_integrand(profile: Profile, u: float) -> float:
     """sqrt(-kcond(u^2)): the arc-length density of the u-axis, up to sqrt(2)."""
-    value = -kcond(profile, u * u)
-    if value < 0.0:
-        raise ArithmeticError(
-            f"pseudoconvexity density positive at t={u * u}; profile invalid there"
-        )
-    return math.sqrt(value)
+    return _density(u * u, kcond(profile, u * u))
+
+
+def _density(t: float, k: float) -> float:
+    if -k < 0.0:
+        raise ArithmeticError(f"pseudoconvexity density positive at t={t}; profile invalid there")
+    return math.sqrt(-k)
 
 
 def psi(profile: Profile, u: float) -> float:
@@ -69,19 +72,15 @@ def psi(profile: Profile, u: float) -> float:
 
 def psi_map(profile: Profile, sp: SlicePoint) -> tuple[float, float]:
     """Isometry of the slice into the Beltrami-Klein disk."""
-    require_inside_slice(profile, sp)
+    _, (f,) = slice_values(profile, sp)
     p = psi(profile, sp.u)
-    f = profile.f(sp.u * sp.u)
     return math.tanh(p), sp.v / (math.cosh(p) * math.sqrt(f))
 
 
 def psi_map_jacobian(profile: Profile, sp: SlicePoint):
     """Analytic differential of the disk map at (u, v), rows (dx, dy)."""
-    require_inside_slice(profile, sp)
+    _, (f, f1) = slice_values(profile, sp, "f1")
     p, dp = psi_value(profile, sp.u)
-    t = sp.u * sp.u
-    f = profile.f(t)
-    f1 = profile.f1(t)
     sech = 1.0 / math.cosh(p)
     sqrt_f = math.sqrt(f)
     dx_du = dp * sech * sech
@@ -154,9 +153,13 @@ def completeness(profile: Profile) -> CompletenessReport:
         ladder = [(2.0 ** j, 2.0 ** j) for j in range(0, 21)]
     diagnostics: dict = {"boundary": boundary}
     ladder_u, ladder_i, log_x = [], [], []
-    for u, x in ladder:
+    ts = np.square([u for u, _ in ladder])
+    (ks,), errors = on_grid(profile, ts, "kcond")  # every rung in one pass
+    for i, (u, x) in enumerate(ladder):
         try:
-            value = completeness_integrand(profile, u)
+            if i in errors:
+                raise errors[i]
+            value = _density(float(ts[i]), float(ks[i]))
         except ArithmeticError as exc:
             diagnostics["evaluation_failures"] = [(u, str(exc))]
             break
@@ -208,7 +211,7 @@ def phi_embed(profile: Profile, point: DomainPoint) -> DomainPoint:
     isometry onto an open subset of the ball.
     """
     c1, c2 = hyperbolic_params(profile)
-    require_inside(profile, point)
+    domain_values(profile, point)
     scale0 = 1.0 / math.sqrt(c1 / c2)
     scale = 1.0 / math.sqrt(c1)
     image = DomainPoint(point.z0 * scale0, tuple(w * scale for w in point.z))

@@ -78,44 +78,40 @@ class DomainPoint:
         return DomainPoint(0j, (0j,) * (n - 1))
 
 
-def domain_gap(profile: Profile, point: DomainPoint) -> float:
-    """f(|z0|^2) - ||z||^2; positive inside, guards the boundary."""
+def domain_values(profile: Profile, point: DomainPoint, *names: str):
+    """(f(x) - ||z||^2, (f, *named values at x = |z0|^2)) from one jet, for
+    a point strictly inside the domain: the gap is at least BOUNDARY_GUARD."""
     x = abs(point.z0) ** 2
     if x >= profile.b:
         raise OutsideDomainError(f"|z0|^2 = {x} exceeds the bound b = {profile.b}")
-    norm_sq = sum(abs(w) ** 2 for w in point.z)
-    return profile.f(x) - norm_sq
-
-
-def require_inside(profile: Profile, point: DomainPoint) -> float:
-    gap = domain_gap(profile, point)
+    values = profile.values(x, "f", *names)
+    gap = values[0] - sum(abs(w) ** 2 for w in point.z)
     if not gap >= BOUNDARY_GUARD:  # nan too
         raise OutsideDomainError(
             f"point not strictly inside the domain (f - ||z||^2 = {gap})"
         )
-    return gap
+    return gap, values
 
 
-def slice_gap(profile: Profile, sp: SlicePoint) -> float:
-    """f(u^2) - v^2; positive strictly inside the slice surface."""
+def slice_values(profile: Profile, sp: SlicePoint, *names: str):
+    """(f(u^2) - v^2, (f, *named values at t = u^2)) from one jet, for a
+    point strictly inside the slice surface: the gap is at least
+    BOUNDARY_GUARD."""
     t = sp.u * sp.u
     if t >= profile.b:
         raise OutsideDomainError(f"u^2 = {t} exceeds the bound b = {profile.b}")
-    return profile.f(t) - sp.v * sp.v
-
-
-def require_inside_slice(profile: Profile, sp: SlicePoint) -> float:
-    gap = slice_gap(profile, sp)
+    values = profile.values(t, "f", *names)
+    gap = values[0] - sp.v * sp.v
     if not gap >= BOUNDARY_GUARD:  # nan too
         raise OutsideDomainError(
             f"slice point not strictly inside the slice (f - v^2 = {gap})"
         )
-    return gap
+    return gap, values
 
 
 def potential(profile: Profile, point: DomainPoint) -> float:
     """Kahler potential -log(f(|z0|^2) - ||z||^2) at an interior point."""
-    return -math.log(require_inside(profile, point))
+    return -math.log(domain_values(profile, point)[0])
 
 
 def hermitian_metric(profile: Profile, point: DomainPoint) -> np.ndarray:
@@ -131,10 +127,8 @@ def hermitian_metric(profile: Profile, point: DomainPoint) -> np.ndarray:
     """
     if point.n != profile.n:
         raise ValueError(f"point has {point.n} coordinates, profile expects {profile.n}")
-    gap = require_inside(profile, point)
+    gap, (_, f1, f2) = domain_values(profile, point, "f1", "f2")
     x = abs(point.z0) ** 2
-    f1 = profile.f1(x)
-    f2 = profile.f2(x)
     n = profile.n
     h = np.empty((n, n), dtype=complex)
     gap2 = gap * gap
@@ -164,11 +158,13 @@ def slice_c(t, f1, f2, w):
 
 def slice_metric(profile: Profile, sp: SlicePoint) -> SliceMetric:
     """Closed-form induced metric on the slice at (u, v)."""
-    w = require_inside_slice(profile, sp)
-    t = sp.u * sp.u
-    f = profile.f(t)
-    f1 = profile.f1(t)
-    c = slice_c(t, f1, profile.f2(t), w)
+    return slice_metric_from(sp, *slice_values(profile, sp, "f1", "f2"))
+
+
+def slice_metric_from(sp: SlicePoint, w: float, values) -> SliceMetric:
+    """The closed form at sp from the gap w = f - v^2 and (f, f1, f2) at u^2."""
+    f, f1, f2 = values
+    c = slice_c(sp.u * sp.u, f1, f2, w)
     w2 = w * w
     return SliceMetric(2.0 * c / w2, -2.0 * f1 * sp.u * sp.v / w2, 2.0 * f / w2)
 
@@ -225,13 +221,9 @@ class SliceMetricJet:
 
 
 def slice_metric_jet(profile: Profile, sp: SlicePoint) -> SliceMetricJet:
-    w = require_inside_slice(profile, sp)
+    w, (f, f1, f2, f3) = slice_values(profile, sp, "f1", "f2", "f3")
     u, v = sp.u, sp.v
     t = u * u
-    f = profile.f(t)
-    f1 = profile.f1(t)
-    f2 = profile.f2(t)
-    f3 = profile.f3(t)
 
     w2 = w * w
     w3 = w2 * w

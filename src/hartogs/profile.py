@@ -1,17 +1,19 @@
 """Profiles: the defining function of a Hartogs domain and its validation.
 
 A profile is a smooth positive function f on [0, b) ingested as an
-expression string.  Derivatives up to third order are produced by exact
-symbolic differentiation of the parsed tree, never by finite differences:
-the downstream residuals need f'''.  The pseudoconvexity density
-kcond = (t*f'/f)' = L + t*L' is built from the log-derivative L = f'/f,
-assembled from the structure of the tree, so no power of f lands in a
-denominator and the density stays evaluable where f itself underflows;
-kcond' and kcond'' come from L', L'' and L'''.  Grid passes (``on_grid``)
-evaluate each tree once, as a numpy array, with a per-point fallback.
-psi, the integral of the density sqrt(-kcond(u^2)), and its inverse read
-one table of Gauss-Legendre panels per profile, built on first use, and so
-does the value of a convergent completeness integral.
+expression string.  Its values come from one Taylor jet of the parsed tree
+per evaluation (``expressions.jet``), never from finite differences: f up
+to f''' for the metric and its residuals, and, from the coefficients of
+log f, the log-derivative L = f'/f and the pseudoconvexity density
+kcond = (t*L)' = L + t*L' with kcond' and kcond''.  None of these divides
+by f, so they stay exact where f underflows, and "f > 0" is "log f is
+finite".  A caller names the values it needs, and the jet goes only to the
+order they take: at one float (``Profile.values``, and f..f3), or on a grid
+as numpy arrays in one walk (``on_grid``), which reports each point where
+a guard of the tree fails, with the reason.  psi, the integral of the
+density sqrt(-kcond(u^2)), and its inverse read one table of
+Gauss-Legendre panels per profile, built on first use, and so does the
+value of a convergent completeness integral.
 """
 
 from __future__ import annotations
@@ -24,22 +26,15 @@ from functools import cached_property
 import numpy as np
 
 from .expressions import (
-    Add,
-    Div,
-    Exp,
+    DIRECT,
     Expr,
     ExpressionEvalError,
     ExpressionSyntaxError,
-    Mul,
-    Neg,
-    Num,
-    Pow,
-    Sub,
-    Var,
-    compile_expression,
-    differentiate,
+    Walk,
+    direct_form,
+    jet,
+    log_form,
     parse_expression,
-    simplify,
     to_source,
 )
 
@@ -60,9 +55,6 @@ PSI_PANEL_RATIO = 0.2
 # PSI_TOL, and bisects its panel at most PSI_STEPS times.
 PSI_TOL = 1e-11
 PSI_STEPS = 60
-# A tree of f, f' or f'' past this many nodes is refused before its derivative
-# is built: the product rule makes f''' of a k-factor product grow as k^3.
-MAX_TREE_NODES = 10_000
 # A geodesic that reaches |u| = ESCAPE_RADIUS on an unbounded domain is taken
 # to leave for infinity.  The slice gap f - v^2 that float64 resolves is above
 # the rounding of f, GAP_REL * f, and has a normal square, as the metric
@@ -72,12 +64,24 @@ GAP_REL = 4.0 * sys.float_info.epsilon
 F_FLOOR = math.sqrt(sys.float_info.min) / GAP_REL
 
 
+# The order of the jet each named value needs: f..f3, log f, L = f'/f, and
+# kcond = L + t*L' with kcond1 and kcond2, its first two derivatives.
+ORDERS = {"f": 0, "logf": 0, "f1": 1, "L": 1, "f2": 2, "kcond": 2, "f3": 3, "kcond1": 3,
+          "kcond2": 4}
+_FACTORIALS = (1.0, 1.0, 2.0, 6.0)
+# (k, a, b) of the values a l_k + t b l_(k+1) of the coefficients l of log f:
+# kcond^(j) = (j+1) L^(j) + t L^(j+1), with L^(j) = (j+1)! l_(j+1)
+_FROM_LOGS = {"L": (1, 1.0, 0.0), "kcond": (1, 1.0, 2.0), "kcond1": (2, 4.0, 6.0),
+              "kcond2": (3, 18.0, 24.0)}
+
+
 class Profile:
-    """Immutable profile with compiled evaluators f, f1, f2, f3 and bound b.
+    """Immutable profile with evaluators f, f1, f2, f3 and bound b.
 
     ``b`` may be ``math.inf``.  ``n`` is the complex dimension of the
     associated domain (at least 2).  Instances are safe to share across
-    threads; all evaluators are pure.
+    threads; all evaluators are pure.  Every value comes from the one
+    parsed tree, which ``asts`` holds and ``kcond_ast`` is.
     """
 
     def __init__(self, ast: Expr, b: float, n: int, source: str | None = None):
@@ -87,57 +91,54 @@ class Profile:
         n = int(n)
         if n < 2:
             raise ValueError("complex dimension n must be at least 2")
-        try:
-            d0 = _bounded(simplify(ast))
-            d1 = _bounded(simplify(differentiate(d0)))
-            d2 = _bounded(simplify(differentiate(d1)))
-            d3 = simplify(differentiate(d2))
-        except RecursionError:
-            raise ExpressionSyntaxError("expression nested too deeply", 0) from None
-        self.asts: tuple[Expr, Expr, Expr, Expr] = (d0, d1, d2, d3)
+        self.asts: tuple[Expr] = (ast,)
+        self.kcond_ast = ast
         self.b = b
         self.n = n
-        self.source = source if source is not None else to_source(d0)
-        self.f, self.f1, self.f2, self.f3 = evaluators = [compile_expression(d) for d in self.asts]
-        # grid passes take the array twins from here, as f..f3 may be rebound
-        self._arrays = dict(zip(("f", "f1", "f2", "f3"), (e.array for e in evaluators)))
+        self.source = source if source is not None else to_source(ast)
+        self.f, self.f1, self.f2, self.f3 = map(self._evaluator, ("f", "f1", "f2", "f3"))
+        self._last = None  # (key, values) of the last call of values
 
     def __repr__(self):
         return f"Profile({self.source!r}, b={self.b}, n={self.n})"
 
-    @cached_property
-    def _log_derivatives(self) -> tuple[Expr, Expr]:
-        # L = f1/f, the log-derivative of f, and L'
-        log_d = simplify(_log_derivative(self.asts[0]))
-        return log_d, simplify(differentiate(log_d))
+    def _evaluator(self, name: str):
+        return lambda t: self.values(t, name)[0]
 
-    @cached_property
-    def kcond_ast(self) -> Expr:
-        # d/dt (t*L) = L + t*L'
-        return simplify(Add(self._log_derivatives[0], Mul(Var(), self._log_derivatives[1])))
-
-    @cached_property
-    def _kcond_fn(self):
-        return compile_expression(self.kcond_ast)
-
-    @cached_property
-    def _log_jet(self):
-        # one evaluator of (L, L', L'', L'''), for kcond' and kcond''
-        log_d = list(self._log_derivatives)
-        log_d.append(simplify(differentiate(log_d[1])))
-        log_d.append(simplify(differentiate(log_d[2])))
-        return compile_expression(tuple(log_d))
+    def values(self, t: float, *names: str) -> tuple[float, ...]:
+        """The named values (keys of ORDERS) at the float t, from one jet.
+        Raises ExpressionEvalError where a guard of the tree fails.  The
+        last call is kept, as geodesics from one start ask for its jet each."""
+        t = float(t)
+        key = (t, math.copysign(1.0, t), names)
+        last = self._last
+        if last is not None and last[0] == key:
+            return last[1]
+        values, failures = _named_values(self.asts[0], t, names)
+        if failures:
+            raise ExpressionEvalError(f"{failures[0]} at t={t}")
+        result = tuple(map(float, values))
+        self._last = key, result  # one assignment, so threads see a whole entry
+        return result
 
     @cached_property
     def _psi_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # the psi panels from 0 to u_edge (see edge)
+        # the psi panels from 0 to u_edge (see edge): hi, or else the last
+        # float with f(u^2) >= F_FLOOR, bracketed by 64 points a pass
         hi = ESCAPE_RADIUS if math.isinf(self.b) else math.sqrt(self.b)
         while hi * hi >= self.b:
             hi = math.nextafter(hi, 0.0)
-        lo = hi if self.f(hi * hi) >= F_FLOOR else 0.0
-        while lo < (mid := 0.5 * (lo + hi)) < hi:
-            lo, hi = (mid, hi) if self.f(mid * mid) >= F_FLOOR else (lo, mid)
-        return _lay_psi_table(self, lo)
+        lo, us = 0.0, np.array([hi])
+        while us.size:
+            (f,), errors = on_grid(self, us * us, "f")
+            if errors:
+                raise errors[min(errors)]
+            above = f >= F_FLOOR
+            j = len(us) if above.all() else int(np.argmin(above))
+            lo, hi = us[j - 1] if j else lo, us[j] if j < len(us) else hi
+            us = np.linspace(lo, hi, 66)[1:-1]
+            us = us[(lo < us) & (us < hi)]
+        return _lay_psi_table(self, float(lo))
 
     @property
     def edge(self) -> tuple[float, float]:
@@ -146,7 +147,8 @@ class Profile:
         u_edge is ESCAPE_RADIUS when b = inf, else the largest float whose
         square stays below b, and in either case no further than where f
         falls to F_FLOOR.  Pseudoconvexity makes t*f1/f strictly decreasing
-        from 0, so f strictly decreases and that point is found by bisection.
+        from 0, so f strictly decreases, and that point is bracketed to one
+        ulp by a few grid passes.
         psi(u_edge) is the last entry of the profile's psi table, whose
         panels end at u_edge; the table is built on first use and kept.
         """
@@ -160,37 +162,40 @@ class Profile:
         return self.b * (1.0 - _GRID_MARGIN)
 
 
-def _bounded(expr: Expr) -> Expr:
-    """expr, unless its tree has more than MAX_TREE_NODES nodes."""
-    stack = [expr]
-    for _ in range(MAX_TREE_NODES + 1):
-        if not stack:
-            return expr
-        stack += [child for child in vars(stack.pop()).values() if isinstance(child, Expr)]
-    raise ExpressionSyntaxError("expression too large", 0)
-
-
-def _log_derivative(expr: Expr) -> Expr:
-    """Tree of g'/g, split along products, quotients, powers and exp so
-    that only sums, t and log are divided by themselves."""
-    match expr:
-        case Num(_):
-            return Num(0.0)
-        case Neg(g):
-            return _log_derivative(g)
-        case Mul(a, b):
-            return Add(_log_derivative(a), _log_derivative(b))
-        case Div(a, b):
-            return Sub(_log_derivative(a), _log_derivative(b))
-        case Pow(g, p):
-            return Mul(Num(p), _log_derivative(g))
-        case Exp(g):
-            return differentiate(g)
-    return Div(differentiate(expr), expr)
+def _named_values(ast: Expr, t, names) -> tuple[list, dict]:
+    """The named values at t, a float or an array, from one jet of the tree
+    to the order they need, and the reasons its guards failed, by index:
+    f^(k) = k! c_k from the direct form sum c_k h^k, and the others from
+    the coefficients l_k of log f, as L^(k) = (k+1)! l_(k+1)."""
+    walk = Walk(t, max(ORDERS[name] for name in names))
+    value = not _FROM_LOGS.keys() >= set(names)  # need no value of f
+    values, direct, logs = [], None, None
+    try:
+        with np.errstate(all="ignore"):
+            x = jet(ast, walk, value)
+            for name in names:
+                if name == "logf":  # nan where f < 0, -inf where f = 0
+                    values.append(np.log(x[1][0]) if x[0] == DIRECT else x[2][0] + np.log(x[1]))
+                elif name[0] == "f":
+                    direct = direct or direct_form(x, walk)
+                    k = ORDERS[name]
+                    c = direct[k] if k < len(direct) else 0.0
+                    values.append(c if k < 2 else _FACTORIALS[k] * c)
+                else:
+                    if logs is None:  # without log|f|, which no name here reads
+                        logs = log_form(x, walk, "division by zero", False)[1]
+                        logs = logs + [0.0] * (walk.n + 1 - len(logs))
+                    k, a, b = _FROM_LOGS[name]
+                    a_l, b_l = logs[k] if a == 1.0 else a * logs[k], b * logs[k + 1] if b else 0.0
+                    # a float b_l of 0 costs no array operation
+                    values.append(a_l if type(b_l) is float and b_l == 0.0 else a_l + t * b_l)
+    except RecursionError:
+        raise ExpressionSyntaxError("expression nested too deeply", 0) from None
+    return values, walk.failures
 
 
 def parse_profile(src: str, b: float, n: int) -> Profile:
-    """Parse an expression string into a Profile with symbolic derivatives.
+    """Parse an expression string into a Profile.
 
     Raises ExpressionSyntaxError (with position) on malformed input and
     ValueError on a non-positive bound or n < 2.
@@ -202,11 +207,11 @@ def kcond(profile: Profile, t: float) -> float:
     """The pseudoconvexity density d/dt (t*f1(t)/f(t)) at t.
 
     Negative everywhere on [0, b) exactly when the domain carries a
-    positive-definite metric.  Computed from the symbolic derivative tree,
-    no finite differences.
+    positive-definite metric.  Computed from the jet of log f, no finite
+    differences.
     """
     _check_range(profile, t)
-    return profile._kcond_fn(t)
+    return profile.values(t, "kcond")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -218,14 +223,17 @@ def _panel_integrals(profile: Profile, left, right, at) -> tuple[np.ndarray, np.
     the density at the points at), in one array pass.  Validity of the
     profile is the caller's precondition.  Two roundoff guards: far in the
     tail the density cancels to noise and may round marginally negative
-    (clamped to zero), and u*u that rounds past a finite bound or overflows
-    is pulled back inside."""
+    (clamped to zero), and u*u that rounds past a finite bound is pulled
+    back inside.  A u*u that overflows has no density: ExpressionEvalError."""
     half = 0.5 * (right - left)
     nodes = (0.5 * (right + left))[:, None] + half[:, None] * _GL6_NODES
     us = np.concatenate((nodes.ravel(), at))
-    with np.errstate(over="ignore"):  # an inf square is pulled back inside b
-        ts = np.minimum(us * us, math.nextafter(profile.b, 0.0))
-    (k,), errors = on_grid(profile, ts, "_kcond_fn")
+    with np.errstate(over="ignore"):
+        ts = us * us
+    if not np.isfinite(ts).all():
+        u = float(us[np.argmin(np.isfinite(ts))])
+        raise ExpressionEvalError(f"u^2 overflows float64 at u={u}")
+    (k,), errors = on_grid(profile, np.minimum(ts, math.nextafter(profile.b, 0.0)), "kcond")
     if errors:
         raise errors[min(errors)]
     rho = np.sqrt(np.maximum(-k, 0.0))
@@ -246,9 +254,14 @@ def _lay_psi_table(profile: Profile, reach: float):
 
 
 def _psi_table_to(profile: Profile, reach: float):
-    """The profile's psi table, or past u_edge one laid out to reach, not kept."""
-    table = profile._psi_table
-    return table if reach <= table[0][-1] else _lay_psi_table(profile, reach)
+    """The profile's psi table, or past u_edge one laid out to reach, not
+    kept.  A reach past every u_edge the bound allows builds no table to
+    u_edge first."""
+    if reach <= (ESCAPE_RADIUS if math.isinf(profile.b) else math.sqrt(profile.b)):
+        table = profile._psi_table
+        if reach <= table[0][-1]:
+            return table
+    return _lay_psi_table(profile, reach)
 
 
 def psi_value(profile: Profile, u: float) -> tuple[float, float]:
@@ -264,17 +277,22 @@ def psi_value(profile: Profile, u: float) -> tuple[float, float]:
 def psi_inverse(profile: Profile, targets: np.ndarray, reach: float) -> np.ndarray:
     """u with psi(u) = targets and |u| <= reach, for all targets at once.
 
-    Newton from the chord of each target's panel, one array pass per step
-    over the targets still open, bracketed by the panel; a step's remainder
-    is estimated with the density's slope from the panel's left break.
+    Newton from the cubic Hermite interpolant of u(psi) on each target's
+    panel, whose slopes at the breaks are 1/density, one array pass per
+    step over the targets still open, bracketed by the panel; a step's
+    remainder is estimated with the density's slope from the panel's left
+    break.
     """
     breaks, values, rhos = _psi_table_to(profile, reach)
     goal = np.minimum(np.abs(targets), values[-1])
     k = np.clip(np.searchsorted(values, goal, side="right") - 1, 0, len(values) - 2)
     lo, hi = breaks[k], breaks[k + 1]
     rise = values[k + 1] - values[k]
-    u = lo + (hi - lo) * np.divide(goal - values[k], rise, out=np.zeros_like(goal),
-                                   where=rise > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.divide(goal - values[k], rise, out=np.zeros_like(goal), where=rise > 0.0)
+        m0, m1 = rise / (rhos[k] * (hi - lo)), rise / (rhos[k + 1] * (hi - lo))
+        shape = x * x * (3.0 - 2.0 * x) + x * (1.0 - x) * ((1.0 - x) * m0 - x * m1)
+    u = lo + (hi - lo) * np.clip(np.where(np.isfinite(shape), shape, x), 0.0, 1.0)
     out = np.empty_like(goal)
     todo = np.arange(len(goal))
     for steps in range(1, PSI_STEPS + 1):
@@ -311,38 +329,19 @@ def chebyshev_grid(upper: float, size: int) -> np.ndarray:
 
 
 def on_grid(profile: Profile, ts: np.ndarray, *names: str):
-    """(rows, errors): the named evaluators of profile on the grid ts, a row
-    each ("_log_jet" gives four), and the ExpressionEvalError by index.
-    Each tree runs once, as an array, under np.errstate(all="raise",
-    under="ignore").  If that raises or gives a non-finite value, the float
-    evaluators run point by point instead, as a per-point loop would; a
-    point with an error is nan in every row.
+    """(rows, errors): the named values (keys of ORDERS) of profile on the
+    grid ts, a row each, from one jet of the tree over the whole grid, and
+    an ExpressionEvalError for each point where a guard of the tree fails,
+    by index.  A point with an error is nan in every row.
     """
-    twins = [profile._arrays.get(name) or getattr(profile, name).array for name in names]
-    try:
-        with np.errstate(all="raise", under="ignore"):
-            values = [v for twin in twins for v in _values(twin(ts))]
-        rows = np.empty((len(values), len(ts)))
-        for row, value in zip(rows, values):
-            row[...] = value  # a tree without t gives one float
-        if np.isfinite(rows).all():
-            return rows, {}
-    except (FloatingPointError, ZeroDivisionError):
-        pass
-    errors: dict[int, ExpressionEvalError] = {}
-    points: list[list[float] | None] = []
-    for i, t in enumerate(ts.tolist()):
-        try:
-            points.append([v for name in names for v in _values(getattr(profile, name)(t))])
-        except ExpressionEvalError as exc:
-            errors[i] = exc
-            points.append(None)
-    width = max(map(len, filter(None, points)), default=len(names))
-    return np.array([p or [math.nan] * width for p in points]).T, errors
-
-
-def _values(value) -> tuple:
-    return value if isinstance(value, tuple) else (value,)
+    values, failures = _named_values(profile.asts[0], ts, names)
+    rows = np.empty((len(names), len(ts)))
+    for row, value in zip(rows, values):
+        row[...] = value  # a constant value is one float
+    if failures:
+        rows[:, list(failures)] = math.nan
+    return rows, {i: ExpressionEvalError(f"{reason} at t={float(ts[i])}")
+                  for i, reason in failures.items()}
 
 
 @dataclass(frozen=True)
@@ -377,21 +376,26 @@ def validate(
     """Sample-based certification of a profile on a Chebyshev grid.
 
     Checks f > 0, f1 <= 0 (optional, see ``enforce_monotone``), and the
-    pseudoconvexity condition kcond < 0 at every grid point.  A grid can
-    only certify at its samples; the report says exactly which points fail.
-    t_max must be positive and finite.
+    pseudoconvexity condition kcond < 0 at every grid point, from one jet
+    of the grid: f > 0 is log f > -inf, which holds where f underflows, and
+    f1 <= 0 is L = f1/f <= 0 where f > 0 and L >= 0 where f < 0.  A grid
+    can only certify at its samples; the report says exactly which points
+    fail.  t_max must be positive and finite.
     """
     if not 0.0 < t_max < math.inf:
         raise ValueError("t_max must be positive and finite")
     upper = profile.grid_limit(t_max)
     ts = chebyshev_grid(upper, grid_size)
-    (f, f1, k), errors = on_grid(profile, ts, "f", "f1", "_kcond_fn")
-    ok = np.isfinite(f) & np.isfinite(f1) & np.isfinite(k)
+    (log_f, log_d, k), errors = on_grid(profile, ts, "logf", "L", "kcond")
+    ok = (log_f != math.inf) & np.isfinite(log_d) & np.isfinite(k)
+    positive = ok & (log_f > -math.inf)  # a negative f has a nan log
     failed = np.flatnonzero(~ok).tolist()
     failures = tuple((t, str(errors.get(i, "non-finite value")))
                      for i, t in zip(failed, ts[failed].tolist()))
-    positivity = tuple(ts[ok & (f <= 0.0)].tolist())
-    monotonicity = tuple(ts[ok & (f1 > 0.0)].tolist()) if enforce_monotone else ()
+    positivity = tuple(ts[ok & ~positive].tolist())
+    # f1 = f * L > 0, at every point where L is finite, whatever the sign of f
+    rising = ok & (np.where(np.isnan(log_f), -log_d, log_d) > 0.0)
+    monotonicity = tuple(ts[rising].tolist()) if enforce_monotone else ()
     pseudoconvexity = tuple(ts[ok & (k >= 0.0)].tolist())
     valid = not (positivity or monotonicity or pseudoconvexity or failures)
     return ValidationReport(

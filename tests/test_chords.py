@@ -1,6 +1,6 @@
 """Geodesics as Beltrami-Klein chords, checked against independent routes:
-RK45 on the geodesic equations, scipy's quad for psi, and the all-pairs
-self-intersection screen."""
+RK45 on the geodesic equations with f..f''' from sympy, scipy's quad for
+psi, and the all-pairs self-intersection screen."""
 
 import math
 import warnings
@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad, solve_ivp
 
+import hartogs.connection
+import hartogs.profile
 from hartogs import (
     OutsideDomainError,
     SlicePoint,
@@ -41,12 +43,23 @@ def _starts(family):
     ]
 
 
+def _derivatives(source: str):
+    """f..f''' of a profile source as one float function, from sympy's
+    derivatives: the oracle's own values, independent of the jets."""
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    f = sympy.sympify(source.replace("^", "**"), locals={"t": t})
+    return sympy.lambdify(t, [f, *(sympy.diff(f, t, k) for k in (1, 2, 3))], "math")
+
+
 def _rk45_points(profile, start, direction, s):
     """The geodesic equations integrated by RK45, sampled at the arc lengths s."""
+    derivatives = _derivatives(profile.source)
 
     def rhs(_s, y):
         u, v, du, dv = y
-        _det, g111, g211, g112, g212, g222 = _christoffel_closed_terms(profile, u * u, u, v)
+        _det, g111, g211, g112, g212, g222 = _christoffel_closed_terms(
+            u * u, u, v, *derivatives(u * u))
         return (
             du,
             dv,
@@ -238,6 +251,16 @@ class TestSliceGap:
         assert not trace.boundary_hit
         assert np.max(np.abs(trace.energies - 1.0)) <= 5e-8
 
+    @pytest.mark.parametrize("direction", [(0.6, 0.8), (-0.3, 1.0)])
+    @pytest.mark.parametrize("source", ["1 - t", "exp(-t)", "1.3*exp(-0.8*t)", "(1 + 0.9*t)^(-2)"])
+    def test_energy_off_the_axis_to_the_rim(self, source, direction):
+        # the chord's tangent (dpsi, deta) without cancellation as |eta| -> 1:
+        # tanh x - tanh y as sinh(x - y) / (cosh x cosh y), and eta' = X2' / N^3
+        p = parse_profile(source, 1.0 if source == "1 - t" else math.inf, 2)
+        trace = integrate_geodesic(p, SlicePoint(0.0, 0.0), direction, 30.0)
+        assert trace.s[-1] > 25.0  # the rim, where f - v^2 falls to GAP_REL * f
+        assert np.max(np.abs(trace.energies - 1.0)) <= 1e-12
+
 
 def density(profile, u: float) -> float:
     """sqrt(-kcond(u^2)), the derivative of psi, one point at a time for quad.
@@ -249,7 +272,7 @@ def density(profile, u: float) -> float:
     t = u * u
     if t >= profile.b:
         t = math.nextafter(profile.b, 0.0)
-    return math.sqrt(max(-profile._kcond_fn(t), 0.0))
+    return math.sqrt(max(-profile.values(t, "kcond")[0], 0.0))
 
 
 class TestPsiAgainstQuad:
@@ -277,32 +300,38 @@ class TestPsiAgainstQuad:
 
 
 class _Counted:
-    """A compiled evaluator that counts its scalar calls and array passes."""
+    """Counts the jets of a profile that take kcond: one float at a time
+    (calls) and over a grid (passes)."""
 
-    def __init__(self, fn):
-        self.fn = fn
+    def __init__(self, profile, monkeypatch):
         self.calls = self.passes = 0
+        values = profile.values
 
-    def __call__(self, t):
-        self.calls += 1
-        return self.fn(t)
+        def counted_values(t, *names):
+            self.calls += "kcond" in names
+            return values(t, *names)
 
-    def array(self, ts):
-        self.passes += 1
-        return self.fn.array(ts)
+        profile.values = counted_values
+        for module in (hartogs.profile, hartogs.connection):
+            monkeypatch.setattr(module, "on_grid", self._counted_grid(profile, module.on_grid))
+
+    def _counted_grid(self, profile, on_grid):
+        def counted(p, ts, *names):
+            self.passes += p is profile and "kcond" in names
+            return on_grid(p, ts, *names)
+        return counted
 
 
-def _counted_kcond(source, b):
+def _counted_kcond(source, b, monkeypatch):
     p = parse_profile(source, b, 2)
-    p._kcond_fn = counter = _Counted(p._kcond_fn)
-    return p, counter
+    return p, _Counted(p, monkeypatch)
 
 
 class TestPsiTable:
-    def test_origin_geodesic_evaluates_kcond_in_arrays(self):
+    def test_origin_geodesic_evaluates_kcond_in_arrays(self, monkeypatch):
         # psi is tabulated once and inverted for every sample at once, not
         # marched sample by sample
-        p, kcond = _counted_kcond("1/(1 + t + 2*t^2)", math.inf)
+        p, kcond = _counted_kcond("1/(1 + t + 2*t^2)", math.inf, monkeypatch)
         trace = integrate_geodesic(p, SlicePoint(0.0, 0.0), (0.6, 0.8), 8.0)
         assert len(trace) == 193
         assert kcond.calls <= 2
@@ -318,10 +347,10 @@ class TestPsiTable:
             for target, u in zip(targets, back):
                 assert abs(psi(p, u) - target) <= 1e-10 * max(1.0, abs(target)), family.name
 
-    def test_array_passes_do_not_grow_with_the_samples(self):
+    def test_array_passes_do_not_grow_with_the_samples(self, monkeypatch):
         passes = []
         for length in (4.0, 16.0):
-            p, kcond = _counted_kcond("(1.8 - 0.6*t)^2", 3.0)
+            p, kcond = _counted_kcond("(1.8 - 0.6*t)^2", 3.0, monkeypatch)
             trace = integrate_geodesic(p, SlicePoint(0.0, 0.0), (0.6, 0.8), length)
             assert trace.s[-1] == length
             passes.append(kcond.passes)

@@ -67,11 +67,8 @@ class TestValidateCommand:
     @pytest.mark.parametrize(
         "expression, bound",
         [
-            # parses, but too deep for the recursive simplifier
+            # parses, but too deep for the recursive walk of its jet
             ("+".join(["1"] * 1499 + ["t"]), "1"),
-            # within the parser's depth guard, past the Python compiler's
-            # limit of 200 nested parentheses
-            ("1-" + "(t/9-" * 210 + "t" + ")" * 210, "0.01"),
         ],
     )
     def test_tree_too_deep_to_derive_or_compile(self, capsys, expression, bound):
@@ -80,6 +77,24 @@ class TestValidateCommand:
         assert code == EXIT_INPUT
         assert isinstance(json.loads(captured.out)["error"]["position"], int)
         assert "Traceback" not in captured.err
+
+    def test_nesting_past_200_parentheses_evaluates(self, capsys):
+        # within the parser's depth guard, and past the 200 nested
+        # parentheses that Python source compiled from the tree could take;
+        # the alternating differences reduce to f = 1 - t
+        expression = "1-" + "(t/9-" * 210 + "t" + ")" * 210
+        code, report = run_json(capsys, "validate", "--F", expression, "--b", "0.01")
+        assert code == EXIT_OK
+        assert report["report"]["valid"] is True
+
+    @pytest.mark.parametrize("expression", [
+        "exp(-t - t^2)",  # f is 0.0 in float64 past t = 26.8
+        "*".join(f"(1+{k / 10:.1f}*t)^(-0.05)" for k in range(1, 41)),  # 40 factors
+    ])
+    def test_valid_profiles_past_the_symbolic_limits(self, capsys, expression):
+        code, report = run_json(capsys, "validate", "--F", expression, "--b", "inf")
+        assert code == EXIT_OK
+        assert report["report"]["valid"] is True
 
     def test_infinite_fold_is_evaluation_failure(self, capsys):
         code = main(["validate", "--F", "1e300*1e300 - t", "--b", "1"])
@@ -200,20 +215,42 @@ class TestClassifyAndEinstein:
         assert payload["completeness"]["verdict"] == "complete"
         assert payload["einstein"]["is_einstein"] is False
 
-    def test_underflowing_base_curvature_is_input_error(self, capsys):
-        # a sum of exponentials falls back to the quotient f'/f, which
-        # underflows on the classification grid; the command reports it
-        code = main(["classify", "--F", "exp(-20*t) + exp(-21*t)", "--b", "inf"])
-        captured = capsys.readouterr()
-        assert code == EXIT_INPUT
-        assert "division by zero" in captured.err
-        assert "Traceback" not in captured.err
+    def test_underflowing_base_curvature_classifies(self, capsys):
+        # f underflows on the classification grid; its log-derivatives,
+        # taken by log-sum-exp of the two terms, do not
+        code, report = run_json(capsys, "classify", "--F", "exp(-20*t) + exp(-21*t)", "--b", "inf")
+        assert code == EXIT_OK
+        assert report["report"]["family"] == "generic"
+        assert report["report"]["completeness"]["verdict"] == "complete"
 
     def test_einstein_command(self, capsys):
         code, report = run_json(capsys, "einstein", "--F", "2 - 3*t", "--b", "0.66")
         assert code == EXIT_OK
         assert report["report"]["is_einstein"] is True
         assert report["report"]["mean_value"] == pytest.approx(6.0, rel=1e-9)
+
+
+class TestValidityGate:
+    @pytest.mark.parametrize("command, expression", [
+        ("curvature", "1 + t"),
+        ("einstein", "exp(t)"),
+        ("completeness", "2 + t"),
+        ("classify", "t"),
+        ("geodesic", "1 + t"),
+    ])
+    def test_invalid_profile_is_a_breach(self, capsys, command, expression):
+        code, report = run_json(capsys, command, "--F", expression, "--b", "1")
+        assert code == EXIT_BREACH
+        assert report["report"]["valid"] is False
+        violations = report["report"]["violations"]
+        assert set(violations) == {"positivity", "monotonicity", "pseudoconvexity", "evaluation"}
+        assert sum(violations.values()) > 0
+
+    def test_gated_run_writes_no_output_file(self, capsys, tmp_path):
+        out = tmp_path / "curvature.csv"
+        code = main(["curvature", "--F", "1 + t", "--b", "1", "--out", str(out), "--format", "csv"])
+        assert code == EXIT_BREACH
+        assert not out.exists()
 
 
 class TestConfigAndDeterminism:

@@ -13,14 +13,20 @@ point by point.  Building them symbolically instead (through `g.inv()`)
 gives expressions of well over a thousand operations whose float
 evaluation cancels catastrophically: for `exp(-t)`, G122, which is 0,
 evaluates to -231.6 at (u, v) = (-0.393, 0.780).
+
+``test_jets_against_sympy`` checks the profile's own Taylor jets, f..f'''
+and the pseudoconvexity density with its two derivatives, against sympy's
+derivatives evaluated at 80 digits.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
 sympy = pytest.importorskip("sympy")
+mpmath = pytest.importorskip("mpmath")
 
 from hartogs import (
     SlicePoint,
@@ -139,3 +145,43 @@ def test_against_potential_derivation(src, f_sym, bound, u_window):
 
         assert k_ref == pytest.approx(-0.5, abs=1e-9)
         assert gauss_curvature_slice(profile, sp) == pytest.approx(k_ref, abs=1e-9)
+
+
+# The six dossier families, and two profiles whose f underflows float64 on
+# the validation grid, past t = 26.8 and t = 37.3; the fast decay's past
+# t = 64 and the spring's past t = 1775.  Each with its points past
+# JET_POINTS: the spring's underflow, and 0.999 b on a finite b.
+JET_CASES = [
+    ("1.3174 - 1.9784*t", 1.3174 / 1.9784, (0.999 * 1.3174 / 1.9784,)),
+    ("1.5888*exp(-0.4197*t)", math.inf, (2000.0,)),
+    ("(1.1903 + 1.1628*t)^(-3.6011)", math.inf, ()),
+    ("(1.7298 - 0.6718*t)^3.3125", 1.7298 / 0.6718, (0.999 * 1.7298 / 0.6718,)),
+    ("1/(1 + 0.6509*t + 1.1841*t^2)", math.inf, ()),
+    ("exp(-0.8541*t - 0.1691*t^2)", math.inf, ()),
+    ("exp(-t - t^2)", math.inf, ()),
+    ("exp(-20*t) + exp(-21*t)", math.inf, ()),
+]
+JET_POINTS = [0.0, 0.3, 1.7, 6.0, 20.0, 45.0, 80.0]
+JET_NAMES = ("f", "f1", "f2", "f3", "kcond", "kcond1", "kcond2")
+
+
+@pytest.mark.parametrize("src,bound,far", JET_CASES)
+def test_jets_against_sympy(src, bound, far):
+    """f..f''' and kcond, kcond', kcond'' of the jets against sympy's
+    derivatives at 80 digits, to 1e-12 relative, also where f underflows;
+    f..f''' where they are normal floats."""
+    t = sympy.Symbol("t")
+    f = sympy.sympify(src.replace("^", "**"), locals={"t": t}, rational=True)
+    density = sympy.diff(t * sympy.cancel(sympy.diff(f, t) / f), t)
+    exact = sympy.lambdify(
+        t, [f, *(sympy.diff(f, t, k) for k in (1, 2, 3)),
+            density, sympy.diff(density, t), sympy.diff(density, t, 2)], "mpmath")
+    profile = parse_profile(src, bound, 2)
+    points = [x for x in JET_POINTS if x < bound] + list(far)
+    with mpmath.workdps(80):
+        for x in points:
+            for name, got, want in zip(JET_NAMES, profile.values(x, *JET_NAMES), exact(mpmath.mpf(x))):
+                want = float(want)
+                if name[0] == "f" and 0.0 < abs(want) < sys.float_info.min:
+                    continue
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), (name, x)

@@ -1,4 +1,4 @@
-"""Parser, differentiation, printing, and evaluation guards."""
+"""Parser, printing, and the values, derivatives and guards of Taylor jets."""
 
 import math
 import sys
@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hartogs import Profile
 from hartogs.expressions import (
     Add,
     Div,
@@ -21,13 +22,20 @@ from hartogs.expressions import (
     Pow,
     Sub,
     Var,
-    compile_expression,
-    differentiate,
-    evaluate,
+    _constant,
     parse_expression,
-    simplify,
     to_source,
 )
+from hartogs.profile import on_grid
+
+
+def _profile(expr) -> Profile:
+    return Profile(parse_expression(expr) if isinstance(expr, str) else expr, math.inf, 2)
+
+
+def evaluate(expr, t: float, name: str = "f") -> float:
+    """A value of expr at the float t from its jet."""
+    return _profile(expr).values(t, name)[0]
 
 
 class TestParsing:
@@ -46,6 +54,7 @@ class TestParsing:
 
     def test_parenthesized_negative_exponent(self):
         e = parse_expression("(1 + t)^(-3)")
+        assert e == Pow(Add(Num(1.0), Var()), -3.0)
         assert evaluate(e, 0.0) == 1.0
         assert evaluate(e, 1.0) == 0.125
 
@@ -93,72 +102,81 @@ class TestParsing:
 
 class TestDifferentiation:
     def test_linear(self):
-        d1 = simplify(differentiate(parse_expression("1 - t")))
-        assert evaluate(d1, 0.7) == -1.0
-        d2 = simplify(differentiate(d1))
-        assert d2 == Num(0.0)
+        assert evaluate("1 - t", 0.7, "f1") == -1.0
+        assert evaluate("1 - t", 0.7, "f2") == 0.0
+        assert evaluate("1 - t", 0.7, "f3") == 0.0
 
     def test_exponential_by_hand(self):
-        e = parse_expression("exp(-2*t)")
-        d1 = simplify(differentiate(e))
-        d2 = simplify(differentiate(d1))
-        assert evaluate(e, 1.0) == pytest.approx(math.exp(-2), rel=1e-15)
-        assert evaluate(d1, 1.0) == pytest.approx(-2 * math.exp(-2), rel=1e-15)
-        assert evaluate(d2, 1.0) == pytest.approx(4 * math.exp(-2), rel=1e-15)
+        p = _profile("exp(-2*t)")
+        assert p.f(1.0) == pytest.approx(math.exp(-2), rel=1e-15)
+        assert p.f1(1.0) == pytest.approx(-2 * math.exp(-2), rel=1e-15)
+        assert p.f2(1.0) == pytest.approx(4 * math.exp(-2), rel=1e-15)
+        assert p.f3(1.0) == pytest.approx(-8 * math.exp(-2), rel=1e-15)
 
     def test_power_by_hand(self):
-        e = parse_expression("(1 + t)^(-3)")
-        d1 = simplify(differentiate(e))
-        d2 = simplify(differentiate(d1))
-        assert evaluate(e, 0.0) == 1.0
-        assert evaluate(d1, 0.0) == -3.0
-        assert evaluate(d2, 0.0) == 12.0
+        p = _profile("(1 + t)^(-3)")
+        assert (p.f(0.0), p.f1(0.0), p.f2(0.0), p.f3(0.0)) == (1.0, -3.0, 12.0, -60.0)
 
     def test_quotient_rule(self):
-        e = parse_expression("t / (1 + t)")
-        d1 = simplify(differentiate(e))
-        # derivative is 1/(1+t)^2
+        # t/(1+t) has derivatives 1/(1+t)^2, -2/(1+t)^3 and 6/(1+t)^4
+        p = _profile("t / (1 + t)")
         for t in (0.0, 0.5, 2.0):
-            assert evaluate(d1, t) == pytest.approx(1.0 / (1 + t) ** 2, rel=1e-14)
+            assert p.f1(t) == pytest.approx(1.0 / (1 + t) ** 2, rel=1e-14)
+            assert p.f2(t) == pytest.approx(-2.0 / (1 + t) ** 3, rel=1e-14)
+            assert p.f3(t) == pytest.approx(6.0 / (1 + t) ** 4, rel=1e-14)
 
     def test_log_rule(self):
-        d1 = simplify(differentiate(parse_expression("log(1 + t^2)")))
-        assert evaluate(d1, 2.0) == pytest.approx(4.0 / 5.0, rel=1e-14)
+        p = _profile("log(1 + t^2)")
+        assert p.f1(2.0) == pytest.approx(4.0 / 5.0, rel=1e-14)
+        assert p.f2(2.0) == pytest.approx(-6.0 / 25.0, rel=1e-14)  # 2(1 - t^2)/(1 + t^2)^2
+
+    def test_vanishing_factor_keeps_its_derivatives(self):
+        # t^2 and t*exp(-t) vanish at 0, where their logs have no jet
+        assert _profile("t^2").values(0.0, "f", "f1", "f2", "f3") == (0.0, 0.0, 2.0, 0.0)
+        assert _profile("t*exp(-t)").values(0.0, "f", "f1", "f2", "f3") == (0.0, 1.0, -2.0, 3.0)
+
+    def test_underflowing_value_keeps_its_log_derivatives(self):
+        # f = exp(-t - t^2) is 0.0 in float64 past t = 26.8
+        p = _profile("exp(-t - t^2)")
+        assert p.values(40.0, "f", "logf", "L", "kcond", "kcond1", "kcond2") == (
+            0.0, -1640.0, -81.0, -161.0, -4.0, 0.0)
 
 
 class TestGuards:
     def test_division_by_zero(self):
         with pytest.raises(ExpressionEvalError, match="division"):
-            evaluate(parse_expression("1 / t"), 0.0)
+            evaluate("1 / t", 0.0)
 
     def test_log_of_nonpositive(self):
         with pytest.raises(ExpressionEvalError, match="log"):
-            evaluate(parse_expression("log(t - 2)"), 1.0)
+            evaluate("log(t - 2)", 1.0)
 
     def test_fractional_power_of_negative(self):
         with pytest.raises(ExpressionEvalError):
-            evaluate(parse_expression("(t - 2)^0.5"), 1.0)
+            evaluate("(t - 2)^0.5", 1.0)
 
     def test_compiled_guards_match(self):
-        fn = compile_expression(parse_expression("1 / (1 - t)"))
-        assert fn(0.5) == 2.0
-        with pytest.raises(ExpressionEvalError):
-            fn(1.0)
+        # the jet at one float and on a grid fail at the same point
+        p = _profile("1 / (1 - t)")
+        assert p.f(0.5) == 2.0
+        with pytest.raises(ExpressionEvalError, match="division by zero at t=1.0"):
+            p.f(1.0)
+        (f,), errors = on_grid(p, np.array([0.5, 1.0]), "f")
+        assert f[0] == 2.0 and math.isnan(f[1])
+        assert list(errors) == [1] and str(errors[1]) == "division by zero at t=1.0"
 
     def test_compiled_infinite_fold_evaluates(self):
-        tree = simplify(parse_expression("1e300*1e300 - t"))
-        assert compile_expression(tree)(1.0) == math.inf
-        tree = simplify(parse_expression("1e300*1e300 - 1e300*1e300 + t"))
-        assert math.isnan(compile_expression(tree)(1.0))
+        assert evaluate("1e300*1e300 - t", 1.0) == math.inf
+        assert math.isnan(evaluate("1e300*1e300 - 1e300*1e300 + t", 1.0))
+        (f,), errors = on_grid(_profile("1e300*1e300 - t"), np.array([0.0, 1.0]), "f")
+        assert f.tolist() == [math.inf, math.inf] and not errors
 
 
 # ---------------------------------------------------------------------------
 # Property tests
 
-_leaf = st.one_of(
-    st.builds(Num, st.floats(-5, 5, allow_nan=False).map(lambda x: round(x, 3))),
-    st.just(Var()),
-)
+_number = st.builds(Num, st.floats(-5, 5, allow_nan=False).map(lambda x: round(x, 3)))
+_leaf = st.one_of(_number, st.just(Var()))
 
 
 def _branch(children):
@@ -180,13 +198,85 @@ def _branch(children):
 expressions = st.recursive(_leaf, _branch, max_leaves=12)
 
 
+def _negated_numbers_folded(expr):
+    """The tree with each Neg(Num(v)) as Num(-v), bottom up, as printing
+    and parsing make of it."""
+    if isinstance(expr, (Num, Var)):
+        return expr
+    if isinstance(expr, Pow):
+        return Pow(_negated_numbers_folded(expr.base), expr.exponent)
+    folded = type(expr)(*map(_negated_numbers_folded, vars(expr).values()))
+    if isinstance(folded, Neg) and isinstance(folded.arg, Num):
+        return Num(-folded.arg.value)
+    return folded
+
+
 @given(expressions)
 @settings(max_examples=200)
 def test_printing_round_trip(expr):
     text = to_source(expr)
     reparsed = parse_expression(text)
     assert to_source(reparsed) == text
-    assert simplify(reparsed) == simplify(expr)
+    assert _negated_numbers_folded(reparsed) == _negated_numbers_folded(expr)
+
+
+class _Underflow(ArithmeticError):
+    """A value of the plain walk underflowed, past which the jet takes the
+    log of the value from log space and may differ."""
+
+
+def _plain(expr, t: float) -> float:
+    """expr at the float t by one plain IEEE operation per node, inf where
+    that overflows: ExpressionEvalError where a guard fails, and _Underflow
+    where a value underflows -- a zero from nonzero operands, or a nonzero
+    value below the least normal float."""
+
+    def checked(value, *operands):
+        if value == 0.0 and all(x != 0.0 for x in operands) or 0.0 < abs(value) < sys.float_info.min:
+            raise _Underflow
+        return value
+
+    match expr:
+        case Num(v):
+            return v
+        case Var():
+            return t
+        case Neg(g):
+            return -_plain(g, t)
+        case Add(a, b):
+            return checked(_plain(a, t) + _plain(b, t))
+        case Sub(a, b):
+            return checked(_plain(a, t) - _plain(b, t))
+        case Mul(a, b):
+            x, y = _plain(a, t), _plain(b, t)
+            return checked(x * y, x, y)
+        case Div(a, b):
+            x, y = _plain(a, t), _plain(b, t)
+            if y == 0.0:
+                raise ExpressionEvalError("division by zero")
+            return checked(x / y, x)
+        case Pow(g, p):
+            x = _plain(g, t)
+            if x < 0.0 and not p.is_integer():
+                raise ExpressionEvalError("power of a negative value")
+            if x == 0.0 and p < 0.0:
+                raise ExpressionEvalError("division by zero")
+            try:
+                value = math.pow(x, p)
+            except OverflowError:
+                value = float(np.power(np.float64(x), p))
+            return checked(value, x)
+        case Exp(g):
+            try:
+                return checked(math.exp(_plain(g, t)), 1.0)
+            except OverflowError:
+                return math.inf
+        case Log(g):
+            x = _plain(g, t)
+            if x <= 0.0:
+                raise ExpressionEvalError("log of a non-positive value")
+            return math.log(x)
+    raise TypeError(expr)
 
 
 def _ulp_spread(expr, t: float) -> tuple[float, float]:
@@ -216,50 +306,53 @@ def _ulp_spread(expr, t: float) -> tuple[float, float]:
     x, ex = _ulp_spread(expr.arg if isinstance(expr, (Exp, Log)) else expr.base, t)
     with np.errstate(all="ignore"):  # a spread past float range is infinite
         if isinstance(expr, Exp):
-            value = math.exp(x)
+            value = float(np.exp(x))
             spread = value * float(np.expm1(ex))
         elif isinstance(expr, Log):
-            value = math.log(x)
+            value = float(np.log(x))
             spread = -float(np.log1p(-ex / x)) if ex < x else math.inf
         else:
-            value = math.pow(x, expr.exponent)
+            value = float(np.power(x, expr.exponent))
             spread = abs(value) * float(np.expm1(abs(expr.exponent) * np.log1p(np.float64(ex) / abs(x))))
     return value, spread + 2.0 * eps * abs(value)
+
+
+def _same(got: float, expected: float) -> bool:
+    return got == expected or got == pytest.approx(expected, rel=1e-15) or (
+        math.isnan(got) and math.isnan(expected))
 
 
 @given(expressions, st.floats(0.01, 3.0, allow_nan=False))
 @settings(max_examples=200)
 def test_compiled_matches_tree_walk(expr, t):
-    compiled = compile_expression(expr)
+    # the jet at one float against a plain walk: the same guards fail, and
+    # the values agree, inf and nan included, unless a value underflows
+    profile = _profile(expr)
     try:
-        expected = evaluate(expr, t)
+        expected = _plain(expr, t)
     except ExpressionEvalError:
         with pytest.raises(ExpressionEvalError):
-            compiled(t)
+            profile.f(t)
+    except _Underflow:
+        pass
     else:
-        got = compiled(t)
-        assert got == expected or got == pytest.approx(expected, rel=1e-15)
-    # the array twin on a few points: flagged under the grid passes' rule
-    # where the float callable raises, equal to it elsewhere
+        got = profile.f(t)
+        assert _same(got, expected), (got, expected)
+    # the jet of a grid of three: flagged where the float jet raises, and
+    # equal to it elsewhere up to the rounding of numpy's exp, log and power
     points = np.array([t, 0.5 * t, 1.5 * t])
-    try:
-        with np.errstate(all="raise", under="ignore"):
-            flagged = not np.isfinite(compiled.array(points)).all()
-        with np.errstate(all="ignore"):
-            values = np.broadcast_to(compiled.array(points), points.shape).tolist()
-    except (FloatingPointError, ZeroDivisionError):
-        flagged, values = True, [None] * len(points)
-    for x, got in zip(points.tolist(), values):
+    (grid,), errors = on_grid(profile, points, "f")
+    for i, x in enumerate(points.tolist()):
         try:
-            expected = compiled(x)
+            expected = profile.f(x)
         except ExpressionEvalError:
-            assert flagged
+            assert i in errors
             continue
-        if got is None or math.isnan(expected):
-            assert got is None or math.isnan(got)
+        if i in errors or math.isnan(expected):
+            assert math.isnan(grid[i])
             continue
         spread = _ulp_spread(expr, x)[1]
-        assert got == pytest.approx(expected, rel=1e-15, abs=2.0 * spread if spread >= 0 else math.inf)
+        assert grid[i] == pytest.approx(expected, rel=1e-15, abs=2.0 * spread if spread >= 0 else math.inf)
 
 
 @given(st.text(alphabet="0123456789.+-*/^()et xplog", max_size=40))
@@ -271,17 +364,19 @@ def test_parser_totality(src):
         assert 0 <= err.position <= len(src)
 
 
-@given(expressions, st.floats(0.05, 2.0, allow_nan=False))
+_constants = st.recursive(_number, _branch, max_leaves=8)
+
+
+@given(_constants)
 @settings(max_examples=150)
-def test_simplify_preserves_value(expr, t):
+def test_simplify_preserves_value(expr):
+    # the fold that makes a '^' exponent a constant: the plain float value
+    # of a tree without t, where that is finite, and None elsewhere
     try:
-        expected = evaluate(expr, t)
-    except ExpressionEvalError:
+        expected = _plain(expr, math.nan)
+    except (ExpressionEvalError, _Underflow):
+        expected = None
+    folded = _constant(expr)
+    if expected is None or not math.isfinite(expected):
         return
-    try:
-        simplified = evaluate(simplify(expr), t)
-    except ExpressionEvalError:
-        # simplification may only widen the domain (0 * log(bad) -> 0)
-        raise AssertionError("simplify must not narrow the evaluable domain")
-    if math.isfinite(expected):
-        assert simplified == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    assert folded == pytest.approx(expected, rel=1e-12, abs=1e-12)

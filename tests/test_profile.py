@@ -2,20 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 
-import hartogs.profile
 from hartogs import kcond, parse_profile, validate
-from hartogs.expressions import Exp, ExpressionSyntaxError, Num
-from hartogs.profile import ESCAPE_RADIUS, F_FLOOR, chebyshev_grid
+from hartogs.expressions import ExpressionSyntaxError
+from hartogs.profile import ESCAPE_RADIUS, F_FLOOR, chebyshev_grid, on_grid
 
 from conftest import FAMILY_MAKERS, FAST_DECAY, fd1, random_slice_points
-
-
-def _has_exp(expr) -> bool:
-    if isinstance(expr, Exp):
-        return True
-    return any(_has_exp(v) for v in vars(expr).values() if hasattr(v, "__dataclass_fields__"))
 
 
 class TestParseProfile:
@@ -53,15 +47,20 @@ class TestParseProfile:
         with pytest.raises(ExpressionSyntaxError):
             parse_profile("1 -", 1, 2)
 
-    def test_too_large_tree_refused_before_the_next_derivative(self, monkeypatch):
-        # a 40-factor product: f'' has 130,949 nodes, f''' 3.8 million
-        built = []
-        differentiate = hartogs.profile.differentiate
-        monkeypatch.setattr(hartogs.profile, "differentiate",
-                            lambda expr: built.append(expr) or differentiate(expr))
-        with pytest.raises(ExpressionSyntaxError, match="expression too large"):
-            parse_profile("*".join(["(1-t/40)"] * 40), 40, 2)
-        assert len(built) == 2  # f' and f'', not f'''
+    def test_forty_factor_product_evaluates(self):
+        # (1 - t/40)^40 as a product of 40 factors, whose symbolic derivative
+        # trees grow as the cube of the factor count
+        p = parse_profile("*".join(["(1-t/40)"] * 40), 40, 2)
+        g = 0.5  # 1 - t/40 at t = 20
+        f, f1, f2, f3, k = p.values(20.0, "f", "f1", "f2", "f3", "kcond")
+        assert f == pytest.approx(g ** 40, rel=1e-13)
+        assert f1 == pytest.approx(-(g ** 39), rel=1e-13)
+        assert f2 == pytest.approx(39 / 40 * g ** 38, rel=1e-13)
+        assert f3 == pytest.approx(-39 * 38 / 1600 * g ** 37, rel=1e-13)
+        assert k == pytest.approx(-1.0 / g ** 2, rel=1e-13)
+        assert validate(p).valid
+        # as a power, whose product would underflow at the grid's last point
+        assert validate(parse_profile("(1-t/40)^40", 40, 2)).valid
 
 
 class TestEdge:
@@ -213,13 +212,27 @@ def test_random_slice_points_inside(rng):
 
 
 class TestLogDerivativeKcond:
+    # kcond comes from the jet of log f and does not see f underflow:
+    # exp(-0.8*t) is 0.0 in float64 past t = 931, exp(-1.2*t - 0.08*t^2)
+    # past t = 89
+    TS = np.array([0.0, 1.0, 40.0, 100.0, 1000.0, 1e4])
+
     def test_spring_kcond_is_constant_tree(self):
-        assert parse_profile("1.3*exp(-0.8*t)", math.inf, 2).kcond_ast == Num(-0.8)
+        p = parse_profile("1.3*exp(-0.8*t)", math.inf, 2)
+        rows, errors = on_grid(p, self.TS, "kcond", "kcond1", "kcond2")
+        assert not errors
+        assert rows.tolist() == [[-0.8] * 6, [0.0] * 6, [0.0] * 6]
+        for t in self.TS.tolist():
+            assert p.values(t, "kcond", "kcond1", "kcond2") == (-0.8, 0.0, 0.0)
 
     def test_fast_decay_kcond_has_no_exp(self):
         p = parse_profile("exp(-1.2*t - 0.08*t^2)", math.inf, 2)
-        assert not _has_exp(p.kcond_ast)
-        assert kcond(p, 40.0) == pytest.approx(-1.2 - 4 * 0.08 * 40.0, rel=1e-14)
+        (k, k1, k2), errors = on_grid(p, self.TS, "kcond", "kcond1", "kcond2")
+        assert not errors
+        assert k == pytest.approx(-1.2 - 4 * 0.08 * self.TS, rel=1e-15)
+        assert k1.tolist() == [-4 * 0.08] * 6 and k2.tolist() == [0.0] * 6
+        assert kcond(p, 40.0) == pytest.approx(-1.2 - 4 * 0.08 * 40.0, rel=1e-15)
+        assert kcond(p, 1e4) == pytest.approx(-1.2 - 4 * 0.08 * 1e4, rel=1e-15)
 
     @pytest.mark.parametrize("a,c", FAST_DECAY)
     def test_fast_decay_valid(self, a, c):
