@@ -16,7 +16,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -59,12 +59,6 @@ def _cast(kind, value, name: str):
         return kind(value)
     except TypeError:
         raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}") from None
-
-
-def _parse_bound(text: str) -> float:
-    if text.strip().lower() in ("inf", "+inf", "infinity"):
-        return math.inf
-    return float(text)
 
 
 def _jsonable(obj):
@@ -176,7 +170,9 @@ def _cmd_geodesic(profile: Profile, config: RunConfig):
     trace = integrate_geodesic(
         profile, SlicePoint(start_u, start_v), slice_dir, config.options["length"]
     )
-    screen = self_intersection_check(trace, guard=config.options["guard"])
+    # screened in the chord's chart, which float64 does not collapse near the rim
+    chart = replace(trace, points=trace.chart)
+    screen = self_intersection_check(chart, guard=config.options["guard"])
     drift = float(np.max(np.abs(trace.energies - trace.energy)) / trace.energy)
     payload = {
         "samples": len(trace),
@@ -306,7 +302,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         raise ValueError("domain bound is required (--b or config file)")
     common = {
         "expression": str(merged.pop("expression")),
-        "b": _parse_bound(str(merged.pop("b"))),
+        "b": float(str(merged.pop("b"))),
         "n": _cast(int, merged.pop("n"), "n"),
         "seed": _cast(int, merged.pop("seed"), "seed"),
         "tol": _cast(float, merged.pop("tol"), "tol"),

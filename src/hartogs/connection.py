@@ -150,6 +150,7 @@ class GeodesicTrace:
     energies: np.ndarray  # (N,) measured g(gamma', gamma')
     energy: float         # nominal first integral (1.0 for unit speed)
     boundary_hit: bool
+    chart: np.ndarray | None = None  # (N, 2) the chord's (psi, atanh eta)
 
     def __len__(self):
         return len(self.s)
@@ -239,8 +240,9 @@ class _Chord:
 
 
 def _chord_samples(profile: Profile, chord: _Chord, s, u_edge: float, u_end):
-    """Points, tangents and energies at the arc lengths s, |u| <= u_edge;
-    u_end, unless None, is the u of the last sample, on the edge."""
+    """Points, tangents, energies and the chart (psi, atanh eta) at the arc
+    lengths s, |u| <= u_edge; u_end, unless None, is the u of the last
+    sample, on the edge."""
     psi, eta, dpsi, deta, gap = chord.at(s)
     u = psi_inverse(profile, psi, u_edge)
     if u_end is not None:
@@ -261,7 +263,10 @@ def _chord_samples(profile: Profile, chord: _Chord, s, u_edge: float, u_end):
     energies = 2.0 / (w * w) * (
         slice_c(t, f1, f2, w) * du * du - 2.0 * f1 * u * v * du * dv + f * dv * dv
     )
-    return np.column_stack((u, v)), np.column_stack((du, dv)), energies
+    # atanh eta from 1 - eta^2 = gap, which the chord gives without cancellation
+    zeta = np.copysign(np.log1p(np.abs(eta)) - 0.5 * np.log(gap), eta)
+    return (np.column_stack((u, v)), np.column_stack((du, dv)), energies,
+            np.column_stack((psi, zeta)))
 
 
 def integrate_geodesic(
@@ -317,7 +322,7 @@ def integrate_geodesic(
         raise OutsideDomainError("the geodesic leaves float64 range at its start")
     s = np.linspace(0.0, s_end, max(8, int(round(SAMPLES_PER_UNIT * s_end)) + 1))
     u_end = math.copysign(u_edge, du) if s_end == s_edge else None
-    points, tangents, energies = _chord_samples(profile, chord, s, u_edge, u_end)
+    points, tangents, energies, chart = _chord_samples(profile, chord, s, u_edge, u_end)
     return GeodesicTrace(
         s=s,
         points=points,
@@ -325,6 +330,7 @@ def integrate_geodesic(
         energies=energies,
         energy=1.0,
         boundary_hit=s_end < length,
+        chart=chart,
     )
 
 

@@ -10,8 +10,8 @@ and their derivatives:
     factor := '-' factor | atom ('^' exponent)?
     atom   := NUMBER | 't' | ('exp'|'log') '(' expr ')' | '(' expr ')'
 
-The exponent of '^' is parsed as a factor and must fold to a finite
-constant.  Whitespace is insignificant.  Trees are immutable.
+The exponent of '^' is parsed as a factor; it must not contain t and
+must fold to a finite constant.  Whitespace is insignificant.  Trees are immutable.
 
 ``jet`` walks a tree once and propagates its truncated Taylor coefficients
 at t, to a given order, over a float or a numpy array of points
@@ -235,70 +235,6 @@ def parse_expression(src: str) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Printing
-
-_PREC_ADD = 1
-_PREC_MUL = 2
-_PREC_POW = 3
-_PREC_ATOM = 9
-
-
-def _precedence(expr: Expr) -> int:
-    match expr:
-        case Num(v):
-            # negative zero also prints with a leading minus
-            return _PREC_ATOM if math.copysign(1.0, v) > 0 else _PREC_MUL
-        case Var() | Exp(_) | Log(_):
-            return _PREC_ATOM
-        case Add(_, _) | Sub(_, _):
-            return _PREC_ADD
-        case Mul(_, _) | Div(_, _) | Neg(_):
-            return _PREC_MUL
-        case Pow(_, _):
-            return _PREC_POW
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
-def _wrap(expr: Expr, min_prec: int, strict: bool = False) -> str:
-    text = to_source(expr)
-    prec = _precedence(expr)
-    if prec < min_prec or (strict and prec == min_prec):
-        return f"({text})"
-    return text
-
-
-def _format_number(value: float) -> str:
-    return repr(float(value))
-
-
-def to_source(expr: Expr) -> str:
-    """Canonical printing; parsing the result reproduces an equivalent tree."""
-    match expr:
-        case Num(v):
-            return _format_number(v)
-        case Var():
-            return "t"
-        case Add(a, b):
-            return f"{_wrap(a, _PREC_ADD)} + {_wrap(b, _PREC_ADD, strict=True)}"
-        case Sub(a, b):
-            return f"{_wrap(a, _PREC_ADD)} - {_wrap(b, _PREC_ADD, strict=True)}"
-        case Mul(a, b):
-            return f"{_wrap(a, _PREC_MUL)} * {_wrap(b, _PREC_MUL, strict=True)}"
-        case Div(a, b):
-            return f"{_wrap(a, _PREC_MUL)} / {_wrap(b, _PREC_MUL, strict=True)}"
-        case Pow(g, c):
-            exp_text = _format_number(c) if c >= 0 else f"({_format_number(c)})"
-            return f"{_wrap(g, _PREC_ATOM)}^{exp_text}"
-        case Exp(g):
-            return f"exp({to_source(g)})"
-        case Log(g):
-            return f"log({to_source(g)})"
-        case Neg(g):
-            return f"-{_wrap(g, _PREC_POW)}"
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
-# ---------------------------------------------------------------------------
 # Taylor jets, to n terms (a shorter list ends in zeros)
 #
 # A coefficient that does not depend on t stays a float: a tree without t is
@@ -376,14 +312,18 @@ _RULES = {
 }
 
 
+def _has_t(expr: Expr) -> bool:
+    return isinstance(expr, Var) or any(
+        isinstance(x, Expr) and _has_t(x) for x in vars(expr).values())
+
+
 def _constant(expr: Expr) -> float | None:
     """The value of a tree without t, if it is finite."""
-    walk = Walk(None, 0)
-    try:
-        with np.errstate(all="ignore"):
-            value = float(direct_form(jet(expr, walk), walk)[0])
-    except TypeError:  # t is None
+    if _has_t(expr):  # even where a zero power would never read t
         return None
+    walk = Walk(None, 0)
+    with np.errstate(all="ignore"):
+        value = float(direct_form(jet(expr, walk), walk)[0])
     return value if math.isfinite(value) and not walk.failures else None
 
 

@@ -98,13 +98,6 @@ class CompletenessReport:
     diagnostics: dict
 
 
-def _ladder_slopes(log_x: list[float], log_i: list[float]) -> list[float]:
-    return [
-        (log_i[j + 1] - log_i[j]) / (log_x[j + 1] - log_x[j])
-        for j in range(len(log_i) - 1)
-    ]
-
-
 def _classify_tail(slopes: list[float], boundary: str) -> str:
     """Map tail slopes of the integrand to a verdict.
 
@@ -140,40 +133,39 @@ def completeness(profile: Profile) -> CompletenessReport:
     read off the profile's psi table, plus the tail beyond it, C*x^s
     integrated in closed form with the ladder's own exponent s.
     """
-    # Ladder of (u, x): x is the distance sqrt(b) - u to a finite endpoint,
-    # or u itself toward infinity; slopes are taken against log x.
+    # Ladder of rungs u at x: x is the distance sqrt(b) - u to a finite
+    # endpoint, or u itself toward infinity; slopes are taken against log x.
     if math.isfinite(profile.b):
         boundary, upper = "finite", math.sqrt(profile.b)
-        epsilons = [upper * 10.0 ** (-j) for j in range(2, 11)]
-        ladder = [(upper - eps, eps) for eps in epsilons]
+        x = upper * np.array([10.0 ** -j for j in range(2, 11)])
+        u = upper - x
     else:
         boundary = "infinite"
-        # Past u ~ 2^20 the density is computed by catastrophic cancellation
-        # and the slopes degrade into roundoff noise; stop before that.
-        ladder = [(2.0 ** j, 2.0 ** j) for j in range(0, 21)]
+        # kcond = l_1 + 2t*l_2 of the jets cancels from about u ~ 2^18, and
+        # the slopes degrade into roundoff noise there; stop at 2^16.
+        u = x = 2.0 ** np.arange(17.0)
     diagnostics: dict = {"boundary": boundary}
-    ladder_u, ladder_i, log_x = [], [], []
-    ts = np.square([u for u, _ in ladder])
-    (ks,), errors = on_grid(profile, ts, "kcond")  # every rung in one pass
-    for i, (u, x) in enumerate(ladder):
-        try:
-            if i in errors:
-                raise errors[i]
-            value = _density(float(ts[i]), float(ks[i]))
-        except ArithmeticError as exc:
-            diagnostics["evaluation_failures"] = [(u, str(exc))]
-            break
-        if not (math.isfinite(value) and value > 0.0):
-            diagnostics["evaluation_failures"] = [(u, f"value {value}")]
-            break
-        ladder_u.append(u)
-        ladder_i.append(value)
-        log_x.append(math.log10(x))
-    slopes = _ladder_slopes(log_x, [math.log10(i) for i in ladder_i])
+    (k,), errors = on_grid(profile, u * u, "kcond")  # every rung in one pass
+    with np.errstate(invalid="ignore"):
+        density = np.sqrt(-k)
+    good = np.isfinite(density) & (density > 0.0)  # a point in errors is nan
+    n = len(u) if good.all() else int(np.argmin(good))  # the rungs before the first failure
+    if n < len(u):
+        t = float(u[n] * u[n])
+        if n in errors:
+            reason = str(errors[n])
+        elif k[n] > 0.0:
+            reason = f"pseudoconvexity density positive at t={t}; profile invalid there"
+        else:
+            reason = f"value {density[n]}"
+        diagnostics["evaluation_failures"] = [(float(u[n]), reason)]
+    # math.log10 rounds as the slopes always have; np.log10 may differ in the last bit
+    log_x, log_i = (np.array([math.log10(y) for y in z[:n]]) for z in (x, density))
+    slopes = (np.diff(log_i) / np.diff(log_x)).tolist()
     verdict = _classify_tail(slopes, boundary)
 
-    diagnostics["ladder_u"] = ladder_u
-    diagnostics["ladder_integrand"] = ladder_i
+    diagnostics["ladder_u"] = u[:n].tolist()
+    diagnostics["ladder_integrand"] = density[:n].tolist()
     diagnostics["slopes"] = slopes
 
     if verdict == VERDICT_COMPLETE:
@@ -184,10 +176,9 @@ def completeness(profile: Profile) -> CompletenessReport:
 
     # psi up to the last rung, plus the integral of C*x^s beyond it, where s
     # is the exponent the verdict rests on and the bands keep |s + 1| >= 0.05
-    u_last, x_last = ladder[len(ladder_u) - 1]
-    tail = ladder_i[-1] * x_last / abs(sorted(slopes[-3:])[1] + 1.0)
+    tail = float(density[n - 1] * x[n - 1]) / abs(sorted(slopes[-3:])[1] + 1.0)
     diagnostics["tail"] = tail
-    return CompletenessReport(verdict, psi_value(profile, u_last)[0] + tail, diagnostics)
+    return CompletenessReport(verdict, psi_value(profile, float(u[n - 1]))[0] + tail, diagnostics)
 
 
 # ---------------------------------------------------------------------------

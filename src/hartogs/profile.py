@@ -35,7 +35,6 @@ from .expressions import (
     jet,
     log_form,
     parse_expression,
-    to_source,
 )
 
 DEFAULT_GRID_SIZE = 1024
@@ -95,7 +94,7 @@ class Profile:
         self.kcond_ast = ast
         self.b = b
         self.n = n
-        self.source = source if source is not None else to_source(ast)
+        self.source = source
         self.f, self.f1, self.f2, self.f3 = map(self._evaluator, ("f", "f1", "f2", "f3"))
         self._last = None  # (key, values) of the last call of values
 

@@ -261,6 +261,16 @@ class TestSliceGap:
         assert trace.s[-1] > 25.0  # the rim, where f - v^2 falls to GAP_REL * f
         assert np.max(np.abs(trace.energies - 1.0)) <= 1e-12
 
+    def test_chart_is_the_disk_map(self):
+        # the chart (psi, atanh eta) of each sample against psi(u) and
+        # eta = v / sqrt(f) of its (u, v)
+        p = parse_profile("1.3*exp(-0.8*t)", math.inf, 2)
+        trace = integrate_geodesic(p, SlicePoint(0.0, 0.0), (-0.3, 1.0), 8.0)
+        u, v = trace.points.T
+        eta = v / np.sqrt([p.f(x * x) for x in u])
+        assert np.max(np.abs(trace.chart[:, 0] - [psi(p, x) for x in u])) <= 1e-10
+        assert np.max(np.abs(np.tanh(trace.chart[:, 1]) - eta)) <= 1e-12
+
 
 def density(profile, u: float) -> float:
     """sqrt(-kcond(u^2)), the derivative of psi, one point at a time for quad.

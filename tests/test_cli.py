@@ -161,6 +161,20 @@ class TestGeodesicCommand:
         )
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("length", ["25", "30", "60"])
+    @pytest.mark.parametrize("direction", ["0.6,0.8", "0,1", "-0.3,1", "1,0"])
+    @pytest.mark.parametrize("expression,bound", [
+        ("1 - t", "1"), ("exp(-t)", "inf"), ("1.3*exp(-0.8*t)", "inf"), ("(1 + 0.9*t)^(-2)", "inf"),
+    ])
+    def test_long_origin_ray_does_not_cross_itself(self, capsys, expression, bound, direction,
+                                                    length):
+        # near the rim consecutive (u, v) samples round onto the same floats;
+        # origin geodesics never cross themselves (Theorem mainteor1)
+        code, report = run_json(capsys, "geodesic", "--F", expression, "--b", bound,
+                                f"--dir={direction}", "--length", length)
+        assert code == EXIT_OK
+        assert report["report"]["self_intersection"]["passed"] is True
+
     def test_nan_start_is_outside_the_slice(self, capsys):
         code = main(["geodesic", "--F", "1 - t", "--b", "1", "--start", "nan,0"])
         assert code == EXIT_INPUT

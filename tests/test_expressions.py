@@ -1,5 +1,6 @@
-"""Parser, printing, and the values, derivatives and guards of Taylor jets."""
+"""Parser, and the values, derivatives and guards of Taylor jets."""
 
+import ast
 import math
 import sys
 
@@ -24,7 +25,6 @@ from hartogs.expressions import (
     Var,
     _constant,
     parse_expression,
-    to_source,
 )
 from hartogs.profile import on_grid
 
@@ -83,6 +83,9 @@ class TestParsing:
             parse_expression("t^t")
         with pytest.raises(ExpressionSyntaxError, match="constant"):
             parse_expression("2^(1 + t)")
+        # t to the power 0 is 1 wherever it evaluates, but still not constant
+        with pytest.raises(ExpressionSyntaxError, match="constant"):
+            parse_expression("2^t^0")
 
     def test_constant_expression_exponent_folds(self):
         e = parse_expression("t^(1 + 2)")
@@ -198,26 +201,82 @@ def _branch(children):
 expressions = st.recursive(_leaf, _branch, max_leaves=12)
 
 
-def _negated_numbers_folded(expr):
-    """The tree with each Neg(Num(v)) as Num(-v), bottom up, as printing
-    and parsing make of it."""
-    if isinstance(expr, (Num, Var)):
-        return expr
-    if isinstance(expr, Pow):
-        return Pow(_negated_numbers_folded(expr.base), expr.exponent)
-    folded = type(expr)(*map(_negated_numbers_folded, vars(expr).values()))
-    if isinstance(folded, Neg) and isinstance(folded.arg, Num):
-        return Num(-folded.arg.value)
-    return folded
+# Source strings of the grammar, with parentheses only where drawn, so that
+# precedence and associativity decide the tree.  Exponents are drawn from a
+# grammar of their own: small numbers, one level of '^', and 't', so that
+# Python's evaluation of them can neither overflow nor raise on anything
+# but a division by zero, which the parser rejects too.
+_numerals = st.one_of(st.integers(0, 10 ** 6).map(str), st.sampled_from(["2.", ".5", "1e-3"]),
+                      st.floats(0.0, 1e300).map(repr))
+_op = st.sampled_from(["+", " - ", "*", " / ", "-"])
+_exp_leaf = st.sampled_from(["0", "1", "2", "3", "0.5", ".25", "2.", "1.5", "t"])
+_exp_atom = st.one_of(_exp_leaf, st.tuples(_exp_leaf, _exp_leaf).map("^".join))
+_exponents = st.recursive(_exp_atom, lambda parts: st.one_of(
+    parts.map(lambda x: f"-{x}"),
+    parts.map(lambda x: f"({x})"),
+    st.tuples(parts, _op, parts).map("".join),
+), max_leaves=4)
 
 
-@given(expressions)
-@settings(max_examples=200)
-def test_printing_round_trip(expr):
-    text = to_source(expr)
-    reparsed = parse_expression(text)
-    assert to_source(reparsed) == text
-    assert _negated_numbers_folded(reparsed) == _negated_numbers_folded(expr)
+def _compound(parts):
+    call = st.tuples(st.sampled_from(["exp", "log"]), parts).map(lambda c: f"{c[0]}({c[1]})")
+    base = st.one_of(_numerals, st.just("t"), parts.map(lambda x: f"({x})"), call)
+    return st.one_of(
+        st.tuples(parts, _op, parts).map("".join),
+        st.tuples(base, _exponents).map("^".join),
+        parts.map(lambda x: f"-{x}"),
+        parts.map(lambda x: f"({x})"),
+        call,
+    )
+
+
+_sources = st.recursive(st.one_of(_numerals, st.just("t")), _compound, max_leaves=10)
+
+
+class _NotConstant(Exception):
+    """An exponent that contains t, or that Python cannot evaluate."""
+
+
+def _from_python(node):
+    """The tree of a Python expression of the grammar, with each exponent
+    evaluated by Python."""
+    match node:
+        case ast.Constant(value):
+            return Num(float(value))
+        case ast.Name("t"):
+            return Var()
+        case ast.UnaryOp(ast.USub(), arg):
+            return Neg(_from_python(arg))
+        case ast.Call(ast.Name("exp"), [arg]):
+            return Exp(_from_python(arg))
+        case ast.Call(ast.Name("log"), [arg]):
+            return Log(_from_python(arg))
+        case ast.BinOp(base, ast.Pow(), exponent):
+            if any(isinstance(n, ast.Name) for n in ast.walk(exponent)):
+                raise _NotConstant
+            try:
+                value = float(eval(compile(ast.Expression(exponent), "<exponent>", "eval")))
+            except ZeroDivisionError:
+                raise _NotConstant from None
+            return Pow(_from_python(base), value)
+        case ast.BinOp(left, op, right):
+            kind = {ast.Add: Add, ast.Sub: Sub, ast.Mult: Mul, ast.Div: Div}[type(op)]
+            return kind(_from_python(left), _from_python(right))
+    raise TypeError(f"not of the grammar: {ast.dump(node)}")
+
+
+@given(_sources)
+@settings(max_examples=300)
+def test_parser_matches_python(text):
+    # the parser's tree is CPython's, node for node, and it rejects exactly
+    # the exponents that contain t or do not evaluate
+    try:
+        expected = _from_python(ast.parse(text.replace("^", "**"), mode="eval").body)
+    except _NotConstant:
+        with pytest.raises(ExpressionSyntaxError, match="exponent must be a finite constant"):
+            parse_expression(text)
+    else:
+        assert parse_expression(text) == expected
 
 
 class _Underflow(ArithmeticError):

@@ -215,6 +215,51 @@ class TestCompleteness:
         assert report.integral_value == pytest.approx(expected(), rel=1e-9)
         assert math.isfinite(report.diagnostics["tail"])
 
+    def test_generic_tail_value(self):
+        # -kcond = (a + 4ct + act^2) / (1 + at + ct^2)^2 at t = u^2, integrated
+        # to 30 digits; the ladder's tail slope is exact only where kcond does
+        # not cancel
+        mpmath = pytest.importorskip("mpmath")
+        a, c = mpmath.mpf("0.6071"), mpmath.mpf("1.6922")
+        with mpmath.workdps(30):
+            expected = mpmath.quad(
+                lambda u: mpmath.sqrt(a + 4 * c * u**2 + a * c * u**4) / (1 + a * u**2 + c * u**4),
+                [0, 1, mpmath.inf])
+        report = completeness(parse_profile("1/(1 + 0.6071*t + 1.6922*t^2)", math.inf, 2))
+        assert report.verdict == VERDICT_INCOMPLETE
+        assert report.integral_value == pytest.approx(float(expected), rel=1e-10)
+
+    @pytest.mark.parametrize("source,b", [
+        ("exp(-t)", math.inf), ("(1 + t)^(-2)", 4.0),
+        ("exp(-t) + 0/(t - 4)", math.inf),  # division by zero at the rung u = 2
+        ("1 + t", math.inf),  # kcond > 0 from the first rung
+        ("2", math.inf),  # kcond = 0: no positive density
+        ("exp(-exp(t))", math.inf),  # an infinite density at u = 32
+    ])
+    def test_ladder_against_a_rung_by_rung_walk(self, source, b):
+        # the rungs, densities and first failure of the one array pass
+        # against the density at each rung in turn, up to its first failure
+        profile = parse_profile(source, b, 2)
+        if math.isinf(b):
+            rungs = [2.0 ** j for j in range(17)]
+        else:
+            rungs = [math.sqrt(b) - math.sqrt(b) * 10.0 ** -j for j in range(2, 11)]
+        densities, failure = [], None
+        for u in rungs:
+            try:
+                value = completeness_integrand(profile, u)
+            except ArithmeticError as exc:
+                failure = [(u, str(exc))]
+                break
+            if not (math.isfinite(value) and value > 0.0):
+                failure = [(u, f"value {value}")]
+                break
+            densities.append(value)
+        diagnostics = completeness(profile).diagnostics
+        assert diagnostics["ladder_u"] == rungs[:len(densities)]
+        assert diagnostics["ladder_integrand"] == pytest.approx(densities, rel=1e-13)
+        assert diagnostics.get("evaluation_failures") == failure
+
     def test_truncated_ball_incomplete(self):
         profile = parse_profile("1 - t", 0.25, 2)
         report = completeness(profile)
