@@ -2,10 +2,11 @@
 
 Exit codes: 0 pass, 1 property breach, 2 input error, 3 inconclusive.
 Every JSON report embeds the tool version, the merged configuration, the
-seed, and the wall time.  A JSON config file may supply any flag; flags
-given on the command line win.  Every command but ``validate`` first
-validates the profile with its defaults; a profile that fails exits 1 with
-the violation summary as its report, and writes no --out file.
+seed, and the wall time.  A JSON config file may supply any flag of its
+command, checked as the flag is; flags given on the command line win.
+Every command but ``validate`` first validates the profile with its
+defaults; a profile that fails exits 1 with the violation summary as its
+report, and writes no --out file.
 """
 
 from __future__ import annotations
@@ -49,8 +50,10 @@ class RunConfig:
     options: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if not self.tol > 0:  # nan too
             raise ValueError("tolerance must be positive")
+        if self.format not in ("json", "csv"):
+            raise ValueError(f"format must be json or csv, got {self.format!r}")
 
 
 def _cast(kind, value, name: str):
@@ -277,18 +280,18 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     merged.update({name: default for name, (_, _, default, _) in options.items()})
     # a config file may use flag spellings, as in {"F": ..., "t-max": ..., "dir": ...}
     aliases = {"F": "expression"} | {
-        flag[2:].replace("-", "_"): name
-        for _, options in _COMMANDS.values()
-        for name, (flag, *_) in options.items()
-    }
+        flag[2:].replace("-", "_"): name for name, (flag, *_) in options.items()}
     if args.config:
         with open(args.config) as handle:
             file_config = json.load(handle)
         if not isinstance(file_config, dict):
             raise ValueError("config file must contain a JSON object")
         for key, value in file_config.items():
-            key = key.replace("-", "_")
-            merged[aliases.get(key, key)] = value
+            name = key.replace("-", "_")
+            name = aliases.get(name, name)
+            if name not in merged and name not in ("expression", "b"):
+                raise ValueError(f"config key {key!r} is not an option of {command}")
+            merged[name] = value
     for key, value in vars(args).items():
         if key in ("command", "config") or value is None:
             continue

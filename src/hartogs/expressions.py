@@ -24,8 +24,10 @@ subtract and scale the l, exp is unwrapped (the log of exp(g) is g), and a
 sum of LOG jets is taken by log-sum-exp.  So the log-derivatives of a
 profile stay exact where its value underflows float64.  Where a factor may
 vanish -- t, t^2 at 0, a sum that cancels -- the node keeps the direct
-jet.  Values themselves (c_0 and v) are taken by the plain float operation
-of each node on the values of its operands, so they equal a plain
+jet; a constant integral power is an exact product, by squaring, only up
+to the square or where its base vanishes somewhere.  Every walk carries
+the values themselves (c_0 and v), each taken by the plain float operation
+of its node on the values of its operands, so they equal a plain
 evaluation of the tree wherever that evaluates; only log|g| and the
 derivatives come from the log coefficients.
 """
@@ -238,11 +240,10 @@ def parse_expression(src: str) -> Expr:
 # Taylor jets, to n terms (a shorter list ends in zeros)
 #
 # A coefficient that does not depend on t stays a float: a tree without t is
-# a DIRECT jet of floats.  A walk with value False may leave sign, l_0 and v
-# of a LOG jet as 1.0, 0.0 and None, where the nodes above it need only the
-# l_k; its DIRECT jets may then be off by a constant factor.  Nothing raises
-# on a float where numpy would give inf, nan or 0, so that a walk runs the
-# same on a float t and on an array of points.
+# a DIRECT jet of floats.  Every jet carries its value, and nothing is kept
+# from one walk to the next.  Nothing raises on a float where numpy would
+# give inf, nan or 0, so that a walk runs the same on a float t and on an
+# array of points.
 
 DIRECT, LOG = 0, 1
 _MIN_NORMAL = sys.float_info.min
@@ -292,23 +293,22 @@ def _pow(x, p: float):
     return np.power(x, p)
 
 
-def jet(expr: Expr, walk: Walk, value: bool = True) -> tuple:
+def jet(expr: Expr, walk: Walk) -> tuple:
     """The jet of expr at walk.t, in one walk of the tree."""
-    return _RULES[type(expr)](expr, walk, value)
+    return _RULES[type(expr)](expr, walk)
 
 
 _RULES = {
-    Num: lambda e, w, value: (DIRECT, [e.value]),
-    Var: lambda e, w, value: (DIRECT, [w.t, 1.0][:w.n]),
-    Neg: lambda e, w, value: _negated(jet(e.arg, w, value)),
-    Add: lambda e, w, value: _sum(jet(e.left, w), jet(e.right, w), w),
-    Sub: lambda e, w, value: _sum(jet(e.left, w), _negated(jet(e.right, w)), w),
-    Mul: lambda e, w, value: _product(jet(e.left, w, value), jet(e.right, w, value), w, value),
-    Div: lambda e, w, value: _quotient(jet(e.left, w, value), jet(e.right, w, value), w, value),
-    Pow: lambda e, w, value: _power(  # a fractional power checks the sign of its base
-        jet(e.base, w, value or not e.exponent.is_integer()), e.exponent, w, value),
-    Exp: lambda e, w, value: _exponential(direct_form(jet(e.arg, w), w), value),
-    Log: lambda e, w, value: _log(jet(e.arg, w), w),
+    Num: lambda e, w: (DIRECT, [e.value]),
+    Var: lambda e, w: (DIRECT, [w.t, 1.0][:w.n]),
+    Neg: lambda e, w: _negated(jet(e.arg, w)),
+    Add: lambda e, w: _sum(jet(e.left, w), jet(e.right, w), w),
+    Sub: lambda e, w: _sum(jet(e.left, w), _negated(jet(e.right, w)), w),
+    Mul: lambda e, w: _product(jet(e.left, w), jet(e.right, w), w),
+    Div: lambda e, w: _quotient(jet(e.left, w), jet(e.right, w), w),
+    Pow: lambda e, w: _power(jet(e.base, w), e.exponent, w),
+    Exp: lambda e, w: _exponential(direct_form(jet(e.arg, w), w)),
+    Log: lambda e, w: _log(jet(e.arg, w), w),
 }
 
 
@@ -389,11 +389,10 @@ def direct_form(x, walk: Walk) -> list:
     """The Taylor coefficients of a jet's value."""
     if x[0] == DIRECT:
         return x[1]
-    v = 1.0 if x[3] is None else x[3]
-    return [v, *[_times(v, e) for e in _exp_series(x[2], walk.n)[1:]]]
+    return [x[3], *[_times(x[3], e) for e in _exp_series(x[2], walk.n)[1:]]]
 
 
-def log_form(x, walk: Walk, reason: str | None, value: bool = True) -> tuple:
+def log_form(x, walk: Walk, reason: str | None) -> tuple:
     """(sign, l, v) of a jet.  Where its value vanishes l_0 is -inf and the
     l_k are not finite, and the guard fails with reason, unless None."""
     if x[0] == LOG:
@@ -401,8 +400,6 @@ def log_form(x, walk: Walk, reason: str | None, value: bool = True) -> tuple:
     c = x[1]
     if reason is not None:
         walk.fail(c[0] == 0.0, reason)
-    if not value:
-        return 1.0, [0.0, *_log_series(c, walk.n)], None
     sign, log_c0 = _sign_log(c[0])
     return sign, [log_c0, *_log_series(c, walk.n)], c[0]
 
@@ -410,14 +407,14 @@ def log_form(x, walk: Walk, reason: str | None, value: bool = True) -> tuple:
 def _negated(x):
     if x[0] == DIRECT:
         return DIRECT, [-v for v in x[1]]
-    return LOG, -x[1], x[2], None if x[3] is None else -x[3]
+    return LOG, -x[1], x[2], -x[3]
 
 
-def _exponential(c: list, value: bool):
-    return LOG, 1.0, c, _exp(c[0]) if value else None
+def _exponential(c: list):
+    return LOG, 1.0, c, _exp(c[0])
 
 
-def _product(a, b, walk: Walk, value: bool):
+def _product(a, b, walk: Walk):
     """A sum of logs, unless a factor is a constant, which scales the
     other exactly, or vanishes somewhere, where its log has no jet."""
     if a[0] == LOG or b[0] == DIRECT and len(b[1]) == 1:
@@ -425,22 +422,21 @@ def _product(a, b, walk: Walk, value: bool):
     if a[0] == DIRECT and (b[0] == DIRECT and len(a[1]) == 1 or _any(a[1][0] == 0.0)
                            or b[0] == DIRECT and _any(b[1][0] == 0.0)):
         return DIRECT, _cauchy(a[1], direct_form(b, walk), walk.n)
-    (sa, la, va), (sb, lb, vb) = log_form(a, walk, None, value), log_form(b, walk, None, value)
-    return LOG, sa * sb, _plus(la, lb), None if va is None or vb is None else va * vb
+    (sa, la, va), (sb, lb, vb) = log_form(a, walk, None), log_form(b, walk, None)
+    return LOG, sa * sb, _plus(la, lb), va * vb
 
 
-def _quotient(a, b, walk: Walk, value: bool):
+def _quotient(a, b, walk: Walk):
     if a[0] == b[0] == DIRECT and len(b[1]) == 1:  # exactly, by a constant (or at order 0)
         walk.fail(b[1][0] == 0.0, "division by zero")
         return DIRECT, [_divide(x, b[1][0]) for x in a[1]]
-    sb, lb, vb = log_form(b, walk, "division by zero", value)
+    sb, lb, vb = log_form(b, walk, "division by zero")
     lb = [-x for x in lb]
     if a[0] == DIRECT and _any(a[1][0] == 0.0):  # a numerator that vanishes somewhere
-        recip = None if vb is None else _divide(1.0, vb)
-        c = _cauchy(a[1], direct_form((LOG, sb, lb, recip), walk), walk.n)
-        return DIRECT, [c[0] if vb is None else _divide(a[1][0], vb), *c[1:]]
-    sa, la, va = log_form(a, walk, None, value)
-    return LOG, sa * sb, _plus(la, lb), None if va is None or vb is None else _divide(va, vb)
+        c = _cauchy(a[1], direct_form((LOG, sb, lb, _divide(1.0, vb)), walk), walk.n)
+        return DIRECT, [_divide(a[1][0], vb), *c[1:]]
+    sa, la, va = log_form(a, walk, None)
+    return LOG, sa * sb, _plus(la, lb), _divide(va, vb)
 
 
 def _sum(a, b, walk: Walk):
@@ -465,15 +461,16 @@ def _sum(a, b, walk: Walk):
     return DIRECT, _plus(direct_form(a, walk), direct_form(b, walk))
 
 
-def _power(x, p: float, walk: Walk, value: bool):
+def _power(x, p: float, walk: Walk):
     integral = p.is_integer()
-    # an exact product, which keeps a base that may vanish; past the square,
-    # log space where the product could underflow and the base does not vanish
-    if x[0] == DIRECT and integral and p >= 0.0 and (
-            p <= 2.0 or not _any(np.abs(x[1][0]) < 1e-300 ** (1.0 / p)) or _any(x[1][0] == 0.0)):
-        c = [1.0]
-        for _ in range(int(p)):
-            c = _cauchy(c, x[1], walk.n)
+    # an exact product, by squaring, up to the square and where the base
+    # vanishes somewhere, as a zero has no log; else log space
+    if x[0] == DIRECT and integral and p >= 0.0 and (p <= 2.0 or _any(x[1][0] == 0.0)):
+        c, square, k = [1.0], x[1], int(p)
+        while k:  # x^p = c * square^k
+            c = _cauchy(c, square, walk.n) if k & 1 else c
+            k >>= 1
+            square = _cauchy(square, square, walk.n) if k else square
         # up to the square the product rounds as the power does
         return DIRECT, c if p <= 2.0 else [_pow(x[1][0], p), *c[1:]]
     # the sign of the base; a zero base to a power p > 0 is 0, with infinite
@@ -485,8 +482,8 @@ def _power(x, p: float, walk: Walk, value: bool):
             vanishes = p > 0.0 and x[0] == DIRECT and _any(base == 0.0)
         if p < 0.0:
             walk.fail(base == 0.0, "division by zero")
-    sign, l, v = log_form(x, walk, None, value or vanishes)
-    out = LOG, sign if p % 2.0 == 1.0 else 1.0, [p * y for y in l], None if v is None else _pow(v, p)
+    sign, l, v = log_form(x, walk, None)
+    out = LOG, sign if p % 2.0 == 1.0 else 1.0, [p * y for y in l], _pow(v, p)
     # the value 0 of a zero base is no underflow, and keeps the direct jet
     return (DIRECT, direct_form(out, walk)) if vanishes else out
 

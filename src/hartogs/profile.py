@@ -79,8 +79,8 @@ class Profile:
 
     ``b`` may be ``math.inf``.  ``n`` is the complex dimension of the
     associated domain (at least 2).  Instances are safe to share across
-    threads; all evaluators are pure.  Every value comes from the one
-    parsed tree, which ``asts`` holds and ``kcond_ast`` is.
+    threads: every value comes from a fresh jet of the one parsed tree,
+    which ``asts`` holds and ``kcond_ast`` is, and only the psi table is kept.
     """
 
     def __init__(self, ast: Expr, b: float, n: int, source: str | None = None):
@@ -96,7 +96,6 @@ class Profile:
         self.n = n
         self.source = source
         self.f, self.f1, self.f2, self.f3 = map(self._evaluator, ("f", "f1", "f2", "f3"))
-        self._last = None  # (key, values) of the last call of values
 
     def __repr__(self):
         return f"Profile({self.source!r}, b={self.b}, n={self.n})"
@@ -106,19 +105,12 @@ class Profile:
 
     def values(self, t: float, *names: str) -> tuple[float, ...]:
         """The named values (keys of ORDERS) at the float t, from one jet.
-        Raises ExpressionEvalError where a guard of the tree fails.  The
-        last call is kept, as geodesics from one start ask for its jet each."""
+        Raises ExpressionEvalError where a guard of the tree fails."""
         t = float(t)
-        key = (t, math.copysign(1.0, t), names)
-        last = self._last
-        if last is not None and last[0] == key:
-            return last[1]
         values, failures = _named_values(self.asts[0], t, names)
         if failures:
             raise ExpressionEvalError(f"{failures[0]} at t={t}")
-        result = tuple(map(float, values))
-        self._last = key, result  # one assignment, so threads see a whole entry
-        return result
+        return tuple(map(float, values))
 
     @cached_property
     def _psi_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -167,11 +159,10 @@ def _named_values(ast: Expr, t, names) -> tuple[list, dict]:
     f^(k) = k! c_k from the direct form sum c_k h^k, and the others from
     the coefficients l_k of log f, as L^(k) = (k+1)! l_(k+1)."""
     walk = Walk(t, max(ORDERS[name] for name in names))
-    value = not _FROM_LOGS.keys() >= set(names)  # need no value of f
     values, direct, logs = [], None, None
     try:
         with np.errstate(all="ignore"):
-            x = jet(ast, walk, value)
+            x = jet(ast, walk)
             for name in names:
                 if name == "logf":  # nan where f < 0, -inf where f = 0
                     values.append(np.log(x[1][0]) if x[0] == DIRECT else x[2][0] + np.log(x[1]))
@@ -181,8 +172,8 @@ def _named_values(ast: Expr, t, names) -> tuple[list, dict]:
                     c = direct[k] if k < len(direct) else 0.0
                     values.append(c if k < 2 else _FACTORIALS[k] * c)
                 else:
-                    if logs is None:  # without log|f|, which no name here reads
-                        logs = log_form(x, walk, "division by zero", False)[1]
+                    if logs is None:
+                        logs = log_form(x, walk, "division by zero")[1]
                         logs = logs + [0.0] * (walk.n + 1 - len(logs))
                     k, a, b = _FROM_LOGS[name]
                     a_l, b_l = logs[k] if a == 1.0 else a * logs[k], b * logs[k + 1] if b else 0.0

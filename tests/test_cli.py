@@ -333,6 +333,22 @@ class TestOptionChecks:
         _, out = run(capsys, "curvature", "--config", str(config))
         assert '"u_max": 1.0' in out
 
+    def test_config_format_is_checked_as_the_flag_is(self, capsys, tmp_path):
+        config = tmp_path / "run.json"
+        out = tmp_path / "x.out"
+        config.write_text(json.dumps({"F": "1 - t", "b": 1, "format": "xml", "out": str(out)}))
+        assert main(["geodesic", "--config", str(config)]) == EXIT_INPUT
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key", [("geodesic", "lenght"), ("validate", "dir"),
+                                              ("completeness", "grid")])
+    def test_config_key_that_is_no_flag_of_the_command_is_named(self, capsys, tmp_path,
+                                                                command, key):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"F": "1 - t", "b": 1, key: 30}))
+        assert main([command, "--config", str(config)]) == EXIT_INPUT
+        assert repr(key) in capsys.readouterr().err
+
     def test_option_of_the_wrong_shape_is_input_error(self, capsys, tmp_path):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"F": "1 - t", "b": 1, "length": [1]}))
@@ -354,18 +370,29 @@ class TestOptionChecks:
                      "--length", length])
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    def test_tol_must_be_positive(self, capsys, tol):
+        # a nan tolerance would fail every deviation, and read as a breach
+        code = main(["curvature", "--F", "1 - t", "--b", "1", "--points", "3", "--tol", tol])
+        assert code == EXIT_INPUT
+
     @pytest.mark.parametrize("t_max", ["-1", "0", "nan", "inf"])
     def test_t_max_must_be_positive_and_finite(self, capsys, t_max):
         code = main(["validate", "--F", "exp(-t)", "--b", "inf", "--t-max", t_max])
         assert code == EXIT_INPUT
 
 
-def test_import_loads_no_scipy():
-    # scipy is a test-only dependency: neither the import nor a convergent
-    # completeness value, in either command that reports one, loads it
+def _child_env() -> dict:
+    """The environment of a child python that imports this hartogs."""
     src = str(Path(hartogs.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency: neither the import nor a convergent
+    # completeness value, in either command that reports one, loads it
     probe = (
         "import contextlib, io, sys, hartogs.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -373,10 +400,20 @@ def test_import_loads_no_scipy():
         "             for command in ('completeness', 'classify')]\n"
         "print(codes, [m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     )
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                            text=True, timeout=60)
+    result = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
+                            capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[0, 0] []"
+
+
+@pytest.mark.parametrize("expression", ["t^1e12", "t^(1/3^3^3^3)"])
+def test_huge_integral_power_ends(expression):
+    # t^1e12 at t = 0 is about 40 jet products by squaring, and the parser
+    # folds 3^(3^27) on the log path; a product per unit of p never ends
+    result = subprocess.run(
+        [sys.executable, "-m", "hartogs.cli", "validate", "--F", expression, "--b", "1"],
+        env=_child_env(), capture_output=True, text=True, timeout=60)
+    assert result.returncode == EXIT_BREACH, result.stderr
 
 
 # a value for every option a command declares; an option without one here

@@ -149,8 +149,10 @@ def test_against_potential_derivation(src, f_sym, bound, u_window):
 
 # The six dossier families, and two profiles whose f underflows float64 on
 # the validation grid, past t = 26.8 and t = 37.3; the fast decay's past
-# t = 64 and the spring's past t = 1775.  Each with its points past
-# JET_POINTS: the spring's underflow, and 0.999 b on a finite b.
+# t = 64 and the spring's past t = 1775; and two integral powers past the
+# square: the t^5 of exp(-t^5), an exact product by squaring at t = 0 and
+# a log elsewhere, and a 7th power, a log everywhere.  Each with its points
+# past JET_POINTS: the spring's underflow, and 0.999 b on a finite b.
 JET_CASES = [
     ("1.3174 - 1.9784*t", 1.3174 / 1.9784, (0.999 * 1.3174 / 1.9784,)),
     ("1.5888*exp(-0.4197*t)", math.inf, (2000.0,)),
@@ -160,6 +162,8 @@ JET_CASES = [
     ("exp(-0.8541*t - 0.1691*t^2)", math.inf, ()),
     ("exp(-t - t^2)", math.inf, ()),
     ("exp(-20*t) + exp(-21*t)", math.inf, ()),
+    ("exp(-t^5)", math.inf, ()),
+    ("(1.7298 - 0.6718*t)^7", 1.7298 / 0.6718, (0.999 * 1.7298 / 0.6718,)),
 ]
 JET_POINTS = [0.0, 0.3, 1.7, 6.0, 20.0, 45.0, 80.0]
 JET_NAMES = ("f", "f1", "f2", "f3", "kcond", "kcond1", "kcond2")
