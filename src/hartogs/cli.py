@@ -145,7 +145,7 @@ def _cmd_curvature(profile: Profile, config: RunConfig):
         v_cap = 0.92 * math.sqrt(profile.f(u * u))
         points.append(SlicePoint(u, rng.uniform(-v_cap, v_cap)))
     rows = [(sp.u, sp.v, gauss_curvature_slice(profile, sp)) for sp in points]
-    worst = max([0.0] + [abs(k + 0.5) for _, _, k in rows])
+    worst = float(np.max([abs(k + 0.5) for _, _, k in rows]))  # nan if any K is
     payload = {
         "target": -0.5,
         "max_deviation_from_minus_half": worst,
@@ -153,7 +153,10 @@ def _cmd_curvature(profile: Profile, config: RunConfig):
         "samples": [{"u": u, "v": v, "K": k} for u, v, k in rows],
         "u_max": u_max,
     }
-    code = EXIT_OK if worst < config.tol else EXIT_BREACH
+    if math.isnan(worst):
+        code = EXIT_INCONCLUSIVE
+    else:
+        code = EXIT_OK if worst < config.tol else EXIT_BREACH
     return payload, code, (("u", "v", "K"), rows)
 
 

@@ -25,15 +25,14 @@ from .metric import (
     slice_metric_jet,
     slice_values,
 )
-from .profile import GAP_REL, Profile, on_grid, psi_inverse, psi_value
+from .profile import GAP_REL, Profile, not_pseudoconvex, on_grid, psi_inverse, psi_value
 
-DEGENERATE_DET_TOL = 1e-30
 SAMPLES_PER_UNIT = 24.0
 SCREEN_WINDOW = 2
 
 
 class DegenerateMetricError(ArithmeticError):
-    """Metric determinant vanished to working precision (near-boundary)."""
+    """Metric determinant not positive: the profile is not pseudoconvex there."""
 
 
 @dataclass(frozen=True)
@@ -57,32 +56,28 @@ def _christoffel_closed_terms(t: float, u: float, v: float, f, f1, f2, f3):
     control rejects.
     """
     w = f - v * v
-    c = slice_c(t, f1, f2, w)
-    w4 = w * w * w * w
-    dw4 = 4.0 * (c * f - f1 * f1 * t * v * v)  # det * w^4
-    if dw4 == 0.0 or w4 == 0.0:
+    core = -t * f1 * f1 + f * (f1 + t * f2)  # f^2 kcond, and det * w^3 = -4 core
+    if core == 0.0 or w == 0.0:
         return (0.0,) + (math.nan,) * 5
     # The first bracket term carries a factor f1; dropping it breaks the
     # cross-validation against christoffel_generic.
-    g111 = (-4.0 * u / dw4) * (
+    g111 = (u / w / core) * (
         t * f1 * (2.0 * f1 * f1 + v * v * f2)
         - f * (v * v - f) * (2.0 * f2 + t * f3)
         - f * f1 * (2.0 * f1 + 3.0 * t * f2)
     )
-    # det * (v^2 - f)^3 = -dw4 / w
-    g211 = (-4.0 * t * v * w / dw4) * (-t * f2 * f2 + f1 * (f2 + t * f3))
-    core = -t * f1 * f1 + f * (f1 + t * f2)
-    g112 = (-4.0 * v / dw4) * core
-    g212 = (4.0 * u * f1 / dw4) * core
-    g222 = (-8.0 * v / dw4) * core
-    return dw4 / w4, g111, g211, g112, g212, g222
+    g211 = (t * v / core) * (-t * f2 * f2 + f1 * (f2 + t * f3))
+    g112 = v / w
+    g212 = -u * f1 / w
+    g222 = 2.0 * v / w
+    return -4.0 * core / w / w / w, g111, g211, g112, g212, g222
 
 
 def christoffel_closed(profile: Profile, sp: SlicePoint) -> ChristoffelSlice:
     """Closed-form Christoffel symbols of the slice metric at (u, v)."""
     _, values = slice_values(profile, sp, "f1", "f2", "f3")
     det, g111, g211, g112, g212, g222 = _christoffel_closed_terms(sp.u * sp.u, sp.u, sp.v, *values)
-    if det <= DEGENERATE_DET_TOL:
+    if not det > 0.0:
         raise DegenerateMetricError(f"metric degenerate at (u, v)=({sp.u}, {sp.v}), det={det}")
     return ChristoffelSlice(g111, g211, g112, g212, 0.0, g222)
 
@@ -94,7 +89,7 @@ def christoffel_generic(profile: Profile, sp: SlicePoint) -> ChristoffelSlice:
     """
     jet = slice_metric_jet(profile, sp)
     det = jet.det
-    if det <= DEGENERATE_DET_TOL:
+    if not det > 0.0:
         raise DegenerateMetricError(f"metric degenerate at {sp}, det={det}")
     ginv = np.array([[jet.g22, -jet.g12], [-jet.g12, jet.g11]]) / det
     dg = np.empty((2, 2, 2))  # dg[l][i][j] = d g_ij / d x_l
@@ -251,6 +246,9 @@ def _chord_samples(profile: Profile, chord: _Chord, s, u_edge: float, u_end):
     (f, f1, f2, log_d, k), errors = on_grid(profile, t, "f", "f1", "f2", "L", "kcond")
     if errors:
         raise errors[min(errors)]
+    bad = np.flatnonzero(k >= 0.0)
+    if bad.size:
+        raise not_pseudoconvex(float(t[bad[0]]))
     sqrt_f = np.sqrt(f)
     w = f * gap
     v = eta * sqrt_f
@@ -258,7 +256,7 @@ def _chord_samples(profile: Profile, chord: _Chord, s, u_edge: float, u_end):
     # f - w keeps v^2 below f in float64
     near = gap < 0.5
     v[near] = np.copysign(np.sqrt(f[near] - w[near]), eta[near])
-    du = dpsi / np.sqrt(np.maximum(-k, 0.0))  # the density is psi'(u)
+    du = dpsi / np.sqrt(-k)  # the density is psi'(u)
     dv = sqrt_f * (deta + eta * u * log_d * du)
     energies = 2.0 / (w * w) * (
         slice_c(t, f1, f2, w) * du * du - 2.0 * f1 * u * v * du * dv + f * dv * dv
@@ -285,14 +283,20 @@ def integrate_geodesic(
       when b = inf, as incomplete domains reach infinity in finite arc
       length; the largest float below sqrt(b); and no further than where f
       falls to F_FLOOR), or |u| of the start if that is larger;
-    - the rim, where the slice gap f - v^2 falls to GAP_REL * f.
+    - the rim, where the slice gap f - v^2 falls to GAP_REL * f, the
+      interior rule of ``metric`` (f stays above F_FLOOR before the edge).
 
     [0, s_end] is sampled uniformly at SAMPLES_PER_UNIT points per unit of
     arc length, at least 8, every sample inside the slice.  boundary_hit is
     set when s_end < length; a trace that stops at the edge ends at
-    u = +-u_edge.
+    u = +-u_edge.  The start must be inside the slice by that rule.  As
+    det g * (f - v^2)^3 = -4 f^2 kcond, the metric is non-degenerate exactly
+    where the profile is pseudoconvex: a start or a sample where kcond >= 0
+    raises ArithmeticError naming its t.
     """
     w0, (f0, f1_0, f2_0, k0) = slice_values(profile, start, "f1", "f2", "kcond")
+    if not k0 < 0.0:
+        raise not_pseudoconvex(start.u * start.u)
     direction = np.asarray(direction, dtype=float)
     if direction.shape != (2,) or not np.all(np.isfinite(direction)):
         raise ValueError("direction must be a finite 2-vector")
@@ -310,7 +314,7 @@ def integrate_geodesic(
     u0, v0 = start.u, start.v
     eta0 = v0 / math.sqrt(f0)
     psi0 = psi_value(profile, u0)[0] if u0 else 0.0
-    rho0 = math.sqrt(max(-k0, 0.0))  # the density, psi'(u0)
+    rho0 = math.sqrt(-k0)  # the density, psi'(u0)
     # a start past the edge stands for it
     u_edge, psi_edge = max(profile.edge, (abs(u0), abs(psi0)))
     deta0 = dv / math.sqrt(f0) - eta0 * u0 * f1_0 / f0 * du
@@ -522,13 +526,11 @@ def straightline_residual(profile: Profile, k: float, u: float) -> float:
 def straightline_residual_algebraic(profile: Profile, k: float, u: float) -> float:
     """Algebraic form of the straight-line defect: -4ku r(u^2) / (D (k^2u^2 - f)^3).
 
-    D is the metric determinant at (u, k*u).  Equal to
+    D is the metric determinant at (u, k*u), and D (k^2u^2 - f)^3 = -D w^3 =
+    4 f^2 kcond, which does not cancel near the rim.  Equal to
     ``straightline_residual``; kept separate as an independent check.
     """
-    v = k * u
-    w, (f, f1, f2, f3) = slice_values(profile, SlicePoint(u, v), "f1", "f2", "f3")
+    _, (f, f1, f2, f3) = slice_values(profile, SlicePoint(u, k * u), "f1", "f2", "f3")
     t = u * u
-    c = slice_c(t, f1, f2, w)
-    det = 4.0 * (c * f - f1 * f1 * t * v * v) / (w * w * w * w)
-    denom = det * (k * k * u * u - f) ** 3
+    denom = 4.0 * (f * (f1 + t * f2) - t * f1 * f1)
     return -4.0 * k * u * residual_terms(t, f, f1, f2, f3) / denom

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connection import residual_terms
-from .metric import SlicePoint, slice_metric_jet
+from .metric import SlicePoint, normalized_slice_metric_jet
 from .profile import Profile, _check_range, chebyshev_grid, on_grid
 
 FAMILY_HYPERBOLIC = "hyperbolic"
@@ -66,8 +66,8 @@ def brioschi_curvature(jet) -> float:
 
 
 def gauss_curvature_slice(profile: Profile, sp: SlicePoint) -> float:
-    """Gaussian curvature of the slice metric at (u, v)."""
-    return brioschi_curvature(slice_metric_jet(profile, sp))
+    """Gaussian curvature of the slice at (u, v), from its normalized image."""
+    return brioschi_curvature(normalized_slice_metric_jet(profile, sp)[0])
 
 
 def gauss_curvature_base(profile: Profile, x: float) -> float:

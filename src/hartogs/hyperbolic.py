@@ -30,7 +30,7 @@ from .metric import (
     domain_values,
     slice_values,
 )
-from .profile import Profile, kcond, on_grid, psi_value
+from .profile import Profile, kcond, not_pseudoconvex, on_grid, psi_value
 
 VERDICT_COMPLETE = "complete"
 VERDICT_INCOMPLETE = "incomplete"
@@ -57,7 +57,7 @@ def completeness_integrand(profile: Profile, u: float) -> float:
 
 def _density(t: float, k: float) -> float:
     if -k < 0.0:
-        raise ArithmeticError(f"pseudoconvexity density positive at t={t}; profile invalid there")
+        raise not_pseudoconvex(t)
     return math.sqrt(-k)
 
 
@@ -155,7 +155,7 @@ def completeness(profile: Profile) -> CompletenessReport:
         if n in errors:
             reason = str(errors[n])
         elif k[n] > 0.0:
-            reason = f"pseudoconvexity density positive at t={t}; profile invalid there"
+            reason = str(not_pseudoconvex(t))
         else:
             reason = f"value {density[n]}"
         diagnostics["evaluation_failures"] = [(float(u[n]), reason)]

@@ -8,9 +8,21 @@ under which the slice {Im z0 = Im z1 = 0, z_j = 0} carries
     g = 2/(f - v^2)^2 * [[c, -f1*u*v], [-f1*u*v, f]],
     c = f1^2*u^2 - (f1 + f2*u^2)*(f - v^2),
 
-with f, f1, f2 evaluated at t = u^2.  ``slice_metric`` evaluates that
+with f, f1, f2 evaluated at t = u^2.  Its determinant is
+det g * (f - v^2)^3 = -4 f^2 kcond, so the slice metric is non-degenerate
+exactly where the profile is pseudoconvex.  ``slice_metric`` evaluates that
 closed form; ``slice_metric_generic`` restricts the full Hermitian matrix
 instead and exists purely as an independent cross-check of the closed form.
+
+One rule decides "inside", for the domain, the slice and the Klein disk:
+the gap f - ||z||^2 is at least GAP_REL * max(f, F_FLOOR), above the
+rounding of f and with a normal square.  It is relative, as the geometry
+is: (z0, z) -> (z0, mu*z) maps D_F onto D_(mu^2 F) and shifts the potential
+by a constant.  So the metric jet is evaluated at the image of (u, v) under
+z -> z / sqrt(f(u^2)), on the profile F / f(u^2), where f = 1 and the gap
+lies in [GAP_REL, 1], and mapped back; no power of the gap can leave the
+float range there.  F_FLOOR, the float64 floor of f itself, is the only
+limit that depends on the scale of f.
 """
 
 from __future__ import annotations
@@ -20,11 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .profile import Profile
-
-# Points closer to the boundary than this are rejected: the potential
-# blows up and every downstream quantity loses its precision.
-BOUNDARY_GUARD = 1e-12
+from .profile import F_FLOOR, GAP_REL, Profile
 
 
 class OutsideDomainError(ValueError):
@@ -78,15 +86,20 @@ class DomainPoint:
         return DomainPoint(0j, (0j,) * (n - 1))
 
 
+def _inside(gap: float, f: float) -> bool:
+    """The interior rule: gap >= GAP_REL * max(f, F_FLOOR); nan is outside."""
+    return gap >= GAP_REL * max(f, F_FLOOR)
+
+
 def domain_values(profile: Profile, point: DomainPoint, *names: str):
     """(f(x) - ||z||^2, (f, *named values at x = |z0|^2)) from one jet, for
-    a point strictly inside the domain: the gap is at least BOUNDARY_GUARD."""
+    a point strictly inside the domain (see ``_inside``)."""
     x = abs(point.z0) ** 2
     if x >= profile.b:
         raise OutsideDomainError(f"|z0|^2 = {x} exceeds the bound b = {profile.b}")
     values = profile.values(x, "f", *names)
     gap = values[0] - sum(abs(w) ** 2 for w in point.z)
-    if not gap >= BOUNDARY_GUARD:  # nan too
+    if not _inside(gap, values[0]):
         raise OutsideDomainError(
             f"point not strictly inside the domain (f - ||z||^2 = {gap})"
         )
@@ -95,14 +108,13 @@ def domain_values(profile: Profile, point: DomainPoint, *names: str):
 
 def slice_values(profile: Profile, sp: SlicePoint, *names: str):
     """(f(u^2) - v^2, (f, *named values at t = u^2)) from one jet, for a
-    point strictly inside the slice surface: the gap is at least
-    BOUNDARY_GUARD."""
+    point strictly inside the slice surface (see ``_inside``)."""
     t = sp.u * sp.u
     if t >= profile.b:
         raise OutsideDomainError(f"u^2 = {t} exceeds the bound b = {profile.b}")
     values = profile.values(t, "f", *names)
     gap = values[0] - sp.v * sp.v
-    if not gap >= BOUNDARY_GUARD:  # nan too
+    if not _inside(gap, values[0]):
         raise OutsideDomainError(
             f"slice point not strictly inside the slice (f - v^2 = {gap})"
         )
@@ -151,8 +163,7 @@ def riemannian_inner(h: np.ndarray, x, y) -> float:
 
 
 def slice_c(t, f1, f2, w):
-    """c = f1^2 t - (f1 + f2 t) w, with g11 = 2c/w^2 and
-    det g * w^4 = 4 (c f - f1^2 t v^2); floats or numpy arrays."""
+    """c = f1^2 t - (f1 + f2 t) w, with g11 = 2c/w^2; floats or numpy arrays."""
     return f1 * f1 * t - (f1 + f2 * t) * w
 
 
@@ -187,7 +198,7 @@ def slice_metric_generic(profile: Profile, sp: SlicePoint) -> SliceMetric:
 def beltrami_klein(x: float, y: float) -> SliceMetric:
     """Beltrami-Klein metric of curvature -1/2 on the unit disk."""
     w = 1.0 - x * x - y * y
-    if not w >= BOUNDARY_GUARD:  # nan too
+    if not _inside(w, 1.0):
         raise OutsideDomainError(f"({x}, {y}) not inside the unit disk")
     w2 = w * w
     return SliceMetric(2.0 * (1.0 - y * y) / w2, 2.0 * x * y / w2, 2.0 * (1.0 - x * x) / w2)
@@ -220,47 +231,47 @@ class SliceMetricJet:
         return self.g11 * self.g22 - self.g12 * self.g12
 
 
-def slice_metric_jet(profile: Profile, sp: SlicePoint) -> SliceMetricJet:
+def normalized_slice_metric_jet(profile: Profile, sp: SlicePoint) -> tuple[SliceMetricJet, float]:
+    """(jet, a): the metric jet at (u, a*v), a = 1/sqrt(f(u^2)), the image of
+    sp on the profile F / f(u^2), where f = 1 and the gap is (f - v^2) / f.
+    The image is isometric to sp, so K may be read off this jet directly."""
     w, (f, f1, f2, f3) = slice_values(profile, sp, "f1", "f2", "f3")
-    u, v = sp.u, sp.v
-    t = u * u
-
+    a = 1.0 / math.sqrt(f)
+    u, v, t = sp.u, sp.v * a, sp.u * sp.u
+    w, f1, f2, f3 = w / f, f1 / f, f2 / f, f3 / f
     w2 = w * w
     w3 = w2 * w
-    w4 = w3 * w
+    w4 = w2 * w2
 
     c = slice_c(t, f1, f2, w)
     c_u = 2.0 * u * (f1 * f2 * t - (2.0 * f2 + t * f3) * w)
     c_v = 2.0 * v * (f1 + f2 * t)
     c_vv = 2.0 * (f1 + f2 * t)
+    d1 = f1 + 2.0 * t * f2
+    tf1_2 = t * f1 * f1
 
     g11 = 2.0 * c / w2
     g12 = -2.0 * f1 * u * v / w2
-    g22 = 2.0 * f / w2
-
+    g22 = 2.0 / w2
     g11_u = 2.0 * c_u / w2 - 8.0 * u * f1 * c / w3
     g11_v = 2.0 * c_v / w2 + 8.0 * v * c / w3
-    g12_u = -2.0 * v * (f1 + 2.0 * t * f2) / w2 + 8.0 * t * f1 * f1 * v / w3
+    g12_u = -2.0 * v * d1 / w2 + 8.0 * tf1_2 * v / w3
     g12_v = -2.0 * f1 * u / w2 - 8.0 * f1 * u * v * v / w3
-    g22_u = 4.0 * u * f1 / w2 - 8.0 * u * f1 * f / w3
-    g22_v = 8.0 * v * f / w3
-
+    g22_u = 4.0 * u * f1 / w2 - 8.0 * u * f1 / w3
+    g22_v = 8.0 * v / w3
     g11_vv = 2.0 * c_vv / w2 + 16.0 * v * c_v / w3 + 8.0 * c / w3 + 48.0 * v * v * c / w4
-    g12_uv = (
-        -2.0 * (f1 + 2.0 * t * f2) / w2
-        - 8.0 * v * v * (f1 + 2.0 * t * f2) / w3
-        + 8.0 * t * f1 * f1 / w3
-        + 48.0 * t * f1 * f1 * v * v / w4
-    )
-    g22_uu = (
-        4.0 * (f1 + 2.0 * t * f2) / w2
-        - 32.0 * t * f1 * f1 / w3
-        - 8.0 * f * (f1 + 2.0 * t * f2) / w3
-        + 48.0 * t * f1 * f1 * f / w4
-    )
+    g12_uv = -2.0 * d1 / w2 - 8.0 * v * v * d1 / w3 + 8.0 * tf1_2 / w3 + 48.0 * tf1_2 * v * v / w4
+    g22_uu = 4.0 * d1 / w2 - 32.0 * tf1_2 / w3 - 8.0 * d1 / w3 + 48.0 * tf1_2 / w4
+    return SliceMetricJet(g11, g12, g22, g11_u, g11_v, g12_u, g12_v, g22_u, g22_v,
+                          g11_vv, g12_uv, g22_uu), a
 
-    return SliceMetricJet(
-        g11, g12, g22,
-        g11_u, g11_v, g12_u, g12_v, g22_u, g22_v,
-        g11_vv, g12_uv, g22_uu,
-    )
+
+# The number of v's among the indices and derivatives of each jet entry
+_V_COUNTS = (0, 1, 2, 0, 1, 1, 2, 2, 3, 2, 2, 2)
+
+
+def slice_metric_jet(profile: Profile, sp: SlicePoint) -> SliceMetricJet:
+    """The metric jet at sp, mapped back from its normalized image: an entry
+    with k v's among its indices and derivatives scales by a^k."""
+    jet, a = normalized_slice_metric_jet(profile, sp)
+    return SliceMetricJet(*(x * a ** k for x, k in zip(vars(jet).values(), _V_COUNTS)))

@@ -204,6 +204,11 @@ def kcond(profile: Profile, t: float) -> float:
     return profile.values(t, "kcond")[0]
 
 
+def not_pseudoconvex(t: float) -> ArithmeticError:
+    """The error for a point t where kcond is not negative."""
+    return ArithmeticError(f"pseudoconvexity density positive at t={t}; profile invalid there")
+
+
 # ---------------------------------------------------------------------------
 # psi and its inverse, read off one table per profile: the panel breaks
 # 0 = x_0 < x_1 < ... < x_K, with psi and the density at each

@@ -75,6 +75,12 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(987654321)
 
 
+def scaled(profile: Profile, mu2: float) -> Profile:
+    """mu2 * F on the same bound: (z0, z) -> (z0, mu*z) maps D_F onto its
+    domain and shifts the Kahler potential by a constant, an isometry."""
+    return parse_profile(f"{mu2!r}*({profile.source})", profile.b, profile.n)
+
+
 def random_slice_points(
     family: Family, count: int, rng: np.random.Generator, v_frac: float = 0.9
 ) -> list[SlicePoint]:

@@ -127,6 +127,14 @@ class TestCurvatureCommand:
         assert lines[0] == "u,v,K"
         assert len(lines) == 11
 
+    def test_nan_curvature_is_inconclusive(self, capsys, monkeypatch):
+        # max() would keep 0.0 against the nan and pass the run
+        values = iter([-0.5, math.nan, -0.5])
+        monkeypatch.setattr("hartogs.cli.gauss_curvature_slice", lambda profile, sp: next(values))
+        code, report = run_json(capsys, "curvature", "--F", "1 - t", "--b", "1", "--points", "3")
+        assert code == EXIT_INCONCLUSIVE
+        assert report["report"]["max_deviation_from_minus_half"] == "nan"
+
 
 class TestGeodesicCommand:
     def test_ball_diagonal_is_straight(self, capsys, tmp_path):
@@ -175,10 +183,37 @@ class TestGeodesicCommand:
         assert code == EXIT_OK
         assert report["report"]["self_intersection"]["passed"] is True
 
+    @pytest.mark.filterwarnings("error")
+    def test_ray_into_a_non_pseudoconvex_tail_is_input_error(self, capsys):
+        # kcond > 0 from t ~ 96 on; no sample there may leak inf and nan
+        code = main(["geodesic", "--F", "exp(-t) + exp(-100)", "--b", "inf", "--dir", "1,0",
+                     "--length", "200"])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: pseudoconvexity density positive at t=")
+        assert err.count("\n") == 1
+
     def test_nan_start_is_outside_the_slice(self, capsys):
         code = main(["geodesic", "--F", "1 - t", "--b", "1", "--start", "nan,0"])
         assert code == EXIT_INPUT
         assert "not strictly inside the slice (f - v^2 = nan)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    # each exited as noted under an absolute guard on f - v^2 of 1e-12 and
+    # a metric jet in raw powers of f - v^2
+    ("curvature", "--F", "1e-13*(1 - t)", "--b", "1"),  # 2
+    ("curvature", "--F", "1e80*(1 - t)", "--b", "1"),  # 1
+    ("geodesic", "--F", "1e-13*(1 - t)", "--b", "1", "--dir", "1,1", "--length", "5"),  # 2
+    ("geodesic", "--F", "exp(-t)", "--b", "inf", "--start", "5.3,0", "--length", "1"),  # 2
+    ("curvature", "--F", "exp(-t)", "--b", "inf", "--u-max", "6"),  # 2
+], ids=["curvature-1e-13", "curvature-1e80", "geodesic-1e-13", "geodesic-start-5.3",
+        "curvature-u-max-6"])
+def test_scale_free_probes_pass(capsys, argv):
+    # the domains are isometric to those of 1 - t and exp(-t), or the points
+    # are inside by the relative rule, GAP_REL * f
+    code, _ = run_json(capsys, *argv)
+    assert code == EXIT_OK
 
 
 class TestCompletenessCommand:

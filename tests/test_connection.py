@@ -84,6 +84,15 @@ class TestChristoffel:
 
 
 class TestGeodesics:
+    @pytest.mark.parametrize("expression, b, direction, length", [
+        ("exp(-t) + exp(-100)", math.inf, (1.0, 0.0), 200.0),  # kcond > 0 from t ~ 96
+        ("1 - t^2", 1.0, (0.0, 1.0), 1.0),  # kcond(0) = 0 at the start
+    ])
+    def test_not_pseudoconvex_raises(self, expression, b, direction, length):
+        p = parse_profile(expression, b, 2)
+        with pytest.raises(ArithmeticError, match="pseudoconvexity density positive at t="):
+            integrate_geodesic(p, SlicePoint(0.0, 0.0), direction, length)
+
     def test_klein_radial_oracle(self):
         p = parse_profile("1 - t", 1, 2)
         trace = integrate_geodesic(p, SlicePoint(0.0, 0.0), (1.0, 0.0), 3.0)
