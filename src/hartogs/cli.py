@@ -57,11 +57,13 @@ class RunConfig:
 
 
 def _cast(kind, value, name: str):
-    """value as kind; a value of the wrong shape is an input error."""
-    try:
-        return kind(value)
-    except TypeError:
-        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}") from None
+    """value as kind; null, or a value of the wrong shape, is an input error."""
+    if value is not None and (kind is not str or isinstance(value, str)):
+        try:
+            return kind(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
 
 
 def _jsonable(obj):
@@ -227,7 +229,8 @@ def _cmd_classify(profile: Profile, config: RunConfig):
 
 # Each command: its runner and its options, name -> (flag, type, default,
 # help).  A bool option is a bare flag that sets True.  Every option given
-# reaches the runner cast through its type.
+# reaches the runner cast through its type; null is only the value of an
+# option whose default is null.
 _GRID = ("--grid", int, 64, "evaluation grid size")
 _COMMANDS = {
     "validate": (_cmd_validate, {
@@ -299,8 +302,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         if key in ("command", "config") or value is None:
             continue
         merged[key] = value
-    for name, (_, kind, _, _) in options.items():
-        if merged[name] is not None:
+    for name, (_, kind, default, _) in options.items():
+        if default is not None or merged[name] is not None:
             merged[name] = _cast(kind, merged[name], name)
     if merged.get("expression") is None:
         raise ValueError("profile expression is required (--F or config file)")
@@ -312,7 +315,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         "n": _cast(int, merged.pop("n"), "n"),
         "seed": _cast(int, merged.pop("seed"), "seed"),
         "tol": _cast(float, merged.pop("tol"), "tol"),
-        "out": merged.pop("out"),
+        "out": None if (out := merged.pop("out")) is None else _cast(str, out, "out"),
         "format": str(merged.pop("format")),
     }
     return RunConfig(command=command, options=merged, **common)

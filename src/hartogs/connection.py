@@ -17,15 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import (
-    OutsideDomainError,
-    SlicePoint,
-    slice_c,
-    slice_metric_from,
-    slice_metric_jet,
-    slice_values,
-)
-from .profile import GAP_REL, Profile, not_pseudoconvex, on_grid, psi_inverse, psi_value
+from .metric import OutsideDomainError, SlicePoint, slice_metric_from, slice_metric_jet, slice_values
+from .profile import GAP_REL, Profile, _check_range, not_pseudoconvex, psi_inverse, psi_value
 
 SAMPLES_PER_UNIT = 24.0
 SCREEN_WINDOW = 2
@@ -243,9 +236,7 @@ def _chord_samples(profile: Profile, chord: _Chord, s, u_edge: float, u_end):
     if u_end is not None:
         u[-1] = u_end
     t = u * u
-    (f, f1, f2, log_d, k), errors = on_grid(profile, t, "f", "f1", "f2", "L", "kcond")
-    if errors:
-        raise errors[min(errors)]
+    f, f1, f2, log_d, k = profile.values(t, "f", "f1", "f2", "L", "kcond")
     bad = np.flatnonzero(k >= 0.0)
     if bad.size:
         raise not_pseudoconvex(float(t[bad[0]]))
@@ -258,9 +249,7 @@ def _chord_samples(profile: Profile, chord: _Chord, s, u_edge: float, u_end):
     v[near] = np.copysign(np.sqrt(f[near] - w[near]), eta[near])
     du = dpsi / np.sqrt(-k)  # the density is psi'(u)
     dv = sqrt_f * (deta + eta * u * log_d * du)
-    energies = 2.0 / (w * w) * (
-        slice_c(t, f1, f2, w) * du * du - 2.0 * f1 * u * v * du * dv + f * dv * dv
-    )
+    energies = slice_metric_from(SlicePoint(u, v), w, (f, f1, f2)).inner((du, dv), (du, dv))
     # atanh eta from 1 - eta^2 = gap, which the chord gives without cancellation
     zeta = np.copysign(np.log1p(np.abs(eta)) - 0.5 * np.log(gap), eta)
     return (np.column_stack((u, v)), np.column_stack((du, dv)), energies,
@@ -289,7 +278,9 @@ def integrate_geodesic(
     [0, s_end] is sampled uniformly at SAMPLES_PER_UNIT points per unit of
     arc length, at least 8, every sample inside the slice.  boundary_hit is
     set when s_end < length; a trace that stops at the edge ends at
-    u = +-u_edge.  The start must be inside the slice by that rule.  As
+    u = +-u_edge.  The start must be inside the slice by that rule, and
+    consecutive samples must differ in the chart, or ValueError names the
+    length.  As
     det g * (f - v^2)^3 = -4 f^2 kcond, the metric is non-degenerate exactly
     where the profile is pseudoconvex: a start or a sample where kcond >= 0
     raises ArithmeticError naming its t.
@@ -327,6 +318,8 @@ def integrate_geodesic(
     s = np.linspace(0.0, s_end, max(8, int(round(SAMPLES_PER_UNIT * s_end)) + 1))
     u_end = math.copysign(u_edge, du) if s_end == s_edge else None
     points, tangents, energies, chart = _chord_samples(profile, chord, s, u_edge, u_end)
+    if np.any(np.all(chart[1:] == chart[:-1], axis=1)):
+        raise ValueError(f"length {length}: consecutive samples coincide in float64")
     return GeodesicTrace(
         s=s,
         points=points,
@@ -492,13 +485,13 @@ def self_intersection_check(
 # Straight-line residuals
 
 def residual_ode(profile: Profile, t: float) -> float:
-    """r(t) = t^2 f2^2 + f (2 f2 + t f3) - f1 (2 t f2 + t^2 f3).
+    """r(t) = t^2 f2^2 + f (2 f2 + t f3) - f1 (2 t f2 + t^2 f3), at a float
+    or an array of t.
 
     Vanishes identically exactly when the profile is linear, i.e. when
     lines through the origin of the slice are geodesic traces.
     """
-    if not 0.0 <= t < profile.b:
-        raise ValueError(f"t={t} outside the profile range [0, {profile.b})")
+    _check_range(profile, t)
     return residual_terms(t, *profile.values(t, "f", "f1", "f2", "f3"))
 
 

@@ -9,7 +9,9 @@ order-4 jet gives from the coefficients of log f.  The classifier takes
 f..f3 and these from one jet of its grid: flat base <-> c*exp(-k t),
 constant K0 != 0 <-> (c1 + c2 t)^(-2/K0), and the vanishing of the
 straight-line residual singles out the linear profiles of the
-complex-hyperbolic case.
+complex-hyperbolic case.  As (z0, z) -> (z0, mu*z) maps D_F onto D_(mu^2 F)
+isometrically, both reports test g = f/f(0) and map what they report back
+to f: c and c1 - c2*t scale with f(0), (c1 + c2*t)^p with f(0)^(1/p).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .connection import residual_terms
 from .metric import SlicePoint, normalized_slice_metric_jet
-from .profile import Profile, _check_range, chebyshev_grid, on_grid
+from .profile import Profile, _check_range, chebyshev_grid
 
 FAMILY_HYPERBOLIC = "hyperbolic"
 FAMILY_SPRING = "spring"
@@ -110,19 +112,28 @@ class EinsteinReport:
     mean_value: float
 
 
-def einstein_check(profile: Profile, grid: int = 64) -> EinsteinReport:
-    """Test constancy of the determinant invariant on a grid."""
+def _report_grid(profile: Profile, grid: int, *names: str):
+    """(ts, values at 0, values): the named values on the reports'
+    Chebyshev grid, ts[0] = 0, from one jet, with f..f3 divided by f(0)
+    in the last.  The first name is "f"."""
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
-    upper = profile.grid_limit() * (1.0 - 1e-6)
-    (f, k), errors = on_grid(profile, chebyshev_grid(upper, grid), "f", "kcond")
-    if errors:
-        raise errors[min(errors)]
+    ts = chebyshev_grid(profile.grid_limit() * (1.0 - 1e-6), grid)
+    values = profile.values(ts, *names)
+    f0 = values[0][0]
     with np.errstate(all="ignore"):  # inf and nan pass on, as in float arithmetic
-        values = -f * f * k  # monge_ampere_J
+        scaled = [x / f0 if name[0] == "f" else x for name, x in zip(names, values)]
+    return ts, [float(x[0]) for x in values], scaled
+
+
+def einstein_check(profile: Profile, grid: int = 64) -> EinsteinReport:
+    """Test constancy of the determinant invariant J / f(0)^2 on a grid."""
+    _, (f0, _), (g, k) = _report_grid(profile, grid, "f", "kcond")
+    with np.errstate(all="ignore"):  # inf and nan pass on, as in float arithmetic
+        values = -g * g * k  # monge_ampere_J / f(0)^2
         mean = float(np.mean(values))
         variation = float(np.max(np.abs(values - mean))) / abs(mean)
-    return EinsteinReport(variation < CONSTANCY_TOL, variation, mean)
+    return EinsteinReport(variation < CONSTANCY_TOL, variation, mean * f0 * f0)
 
 
 @dataclass(frozen=True)
@@ -153,26 +164,22 @@ def classify_profile(profile: Profile, grid: int = 64) -> ClassificationResult:
     families, anything else is generic.  A candidate family is only
     accepted when the reconstructed profile matches on the grid.
     """
-    if grid < 2:
-        raise ValueError("grid must have at least 2 points")
-    ts = chebyshev_grid(profile.grid_limit() * (1.0 - 1e-6), grid)
-    (f, f1, f2, f3, k_grid, *k_derivatives), errors = on_grid(
-        profile, ts, "f", "f1", "f2", "f3", "kcond", "kcond1", "kcond2")
-    if errors:
-        raise errors[min(errors)]
-    f0, f1_0 = float(f[0]), float(f1[0])  # ts[0] = 0
+    ts, (f0, f1_0, *_), (g, g1, g2, g3, k_grid, *k_derivatives) = _report_grid(
+        profile, grid, "f", "f1", "f2", "f3", "kcond", "kcond1", "kcond2")
+    if not f0 > 0.0:  # else g is -f, or nan, which _max skips
+        raise ArithmeticError(f"f(0) = {f0}; classification needs it positive")
+    g1_0 = float(g1[0])  # ts[0] = 0, where g = 1
     with np.errstate(all="ignore"):  # inf and nan pass on, as in float arithmetic
-        residual_max = _max(np.abs(residual_terms(ts, f, f1, f2, f3)))
+        residual_max = _max(np.abs(residual_terms(ts, g, g1, g2, g3)))
         residual_scale = _max(
-            ts * ts * f2 * f2 + np.abs(f) * (2.0 * np.abs(f2) + ts * np.abs(f3))
-            + np.abs(f1) * (2.0 * ts * np.abs(f2) + ts * ts * np.abs(f3))
+            ts * ts * g2 * g2 + np.abs(g) * (2.0 * np.abs(g2) + ts * np.abs(g3))
+            + np.abs(g1) * (2.0 * ts * np.abs(g2) + ts * ts * np.abs(g3))
         )
-        if residual_max <= RESIDUAL_TOL * max(residual_scale, 1.0):
-            c1, c2 = f0, -f1_0
-            fit = _relative_fit_residual(f, c1 - c2 * ts)
+        if residual_max <= RESIDUAL_TOL * residual_scale:
+            fit = _relative_fit_residual(g, 1.0 + g1_0 * ts)
             if fit < FIT_TOL:
                 return ClassificationResult(
-                    FAMILY_HYPERBOLIC, {"c1": c1, "c2": c2}, fit, None
+                    FAMILY_HYPERBOLIC, {"c1": f0, "c2": -f1_0}, fit, None
                 )
 
         bad = np.flatnonzero(k_grid >= 0.0)
@@ -183,21 +190,19 @@ def classify_profile(profile: Profile, grid: int = 64) -> ClassificationResult:
         spread = _max(np.abs(curvatures - k_mean))
 
         if _max(np.abs(curvatures)) < CONSTANCY_TOL:
-            c = f0
-            k = -f1_0 / f0
-            fit = _relative_fit_residual(f, c * np.exp(-k * ts))
+            fit = _relative_fit_residual(g, np.exp(g1_0 * ts))
             if fit < FIT_TOL:
-                return ClassificationResult(FAMILY_SPRING, {"c": c, "k": k}, fit, 0.0)
+                return ClassificationResult(FAMILY_SPRING, {"c": f0, "k": -g1_0}, fit, 0.0)
 
         if spread < CONSTANCY_TOL * max(abs(k_mean), 1.0) and k_mean != 0.0:
             exponent = -2.0 / k_mean
-            c1 = math.pow(f0, 1.0 / exponent)
-            c2 = f1_0 / (exponent * math.pow(c1, exponent - 1.0))
-            fit = _relative_fit_residual(f, np.power(c1 + c2 * ts, exponent))
+            c2 = g1_0 / exponent  # of g = (1 + c2*t)^exponent
+            fit = _relative_fit_residual(g, np.power(1.0 + c2 * ts, exponent))
             if fit < FIT_TOL:
                 family = FAMILY_POWER_POS if k_mean > 0 else FAMILY_POWER_NEG
+                c1 = float(np.power(f0, 1.0 / exponent))
                 return ClassificationResult(
-                    family, {"c1": c1, "c2": c2, "K0": k_mean}, fit, k_mean
+                    family, {"c1": c1, "c2": c1 * c2, "K0": k_mean}, fit, k_mean
                 )
 
     return ClassificationResult(FAMILY_GENERIC, {}, math.inf, None)

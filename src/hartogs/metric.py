@@ -91,34 +91,32 @@ def _inside(gap: float, f: float) -> bool:
     return gap >= GAP_REL * max(f, F_FLOOR)
 
 
+def _gap_values(profile: Profile, x: float, r2: float, names, labels):
+    """(f(x) - r2, (f, *named values at x)) from one jet, for a point
+    strictly inside (see ``_inside``); labels name x, the point's failure
+    and r2 in the errors."""
+    x_name, failure, r2_name = labels
+    if x >= profile.b:
+        raise OutsideDomainError(f"{x_name} = {x} exceeds the bound b = {profile.b}")
+    values = profile.values(x, "f", *names)
+    gap = values[0] - r2
+    if not _inside(gap, values[0]):
+        raise OutsideDomainError(f"{failure} (f - {r2_name} = {gap})")
+    return gap, values
+
+
 def domain_values(profile: Profile, point: DomainPoint, *names: str):
     """(f(x) - ||z||^2, (f, *named values at x = |z0|^2)) from one jet, for
-    a point strictly inside the domain (see ``_inside``)."""
-    x = abs(point.z0) ** 2
-    if x >= profile.b:
-        raise OutsideDomainError(f"|z0|^2 = {x} exceeds the bound b = {profile.b}")
-    values = profile.values(x, "f", *names)
-    gap = values[0] - sum(abs(w) ** 2 for w in point.z)
-    if not _inside(gap, values[0]):
-        raise OutsideDomainError(
-            f"point not strictly inside the domain (f - ||z||^2 = {gap})"
-        )
-    return gap, values
+    a point strictly inside the domain."""
+    return _gap_values(profile, abs(point.z0) ** 2, sum(abs(w) ** 2 for w in point.z), names,
+                       ("|z0|^2", "point not strictly inside the domain", "||z||^2"))
 
 
 def slice_values(profile: Profile, sp: SlicePoint, *names: str):
     """(f(u^2) - v^2, (f, *named values at t = u^2)) from one jet, for a
-    point strictly inside the slice surface (see ``_inside``)."""
-    t = sp.u * sp.u
-    if t >= profile.b:
-        raise OutsideDomainError(f"u^2 = {t} exceeds the bound b = {profile.b}")
-    values = profile.values(t, "f", *names)
-    gap = values[0] - sp.v * sp.v
-    if not _inside(gap, values[0]):
-        raise OutsideDomainError(
-            f"slice point not strictly inside the slice (f - v^2 = {gap})"
-        )
-    return gap, values
+    point strictly inside the slice surface."""
+    return _gap_values(profile, sp.u * sp.u, sp.v * sp.v, names,
+                       ("u^2", "slice point not strictly inside the slice", "v^2"))
 
 
 def potential(profile: Profile, point: DomainPoint) -> float:
@@ -173,7 +171,8 @@ def slice_metric(profile: Profile, sp: SlicePoint) -> SliceMetric:
 
 
 def slice_metric_from(sp: SlicePoint, w: float, values) -> SliceMetric:
-    """The closed form at sp from the gap w = f - v^2 and (f, f1, f2) at u^2."""
+    """The closed form at sp from the gap w = f - v^2 and (f, f1, f2) at u^2,
+    floats or numpy arrays of them."""
     f, f1, f2 = values
     c = slice_c(sp.u * sp.u, f1, f2, w)
     w2 = w * w
@@ -205,7 +204,7 @@ def beltrami_klein(x: float, y: float) -> SliceMetric:
 
 
 @dataclass(frozen=True)
-class SliceMetricJet:
+class SliceMetricJet(SliceMetric):
     """Slice metric entries with the analytic partials needed downstream.
 
     First derivatives feed the Christoffel symbols, the three second
@@ -213,9 +212,6 @@ class SliceMetricJet:
     is chained exactly through f, f1, f2, f3; no finite differences.
     """
 
-    g11: float
-    g12: float
-    g22: float
     g11_u: float
     g11_v: float
     g12_u: float
@@ -225,10 +221,6 @@ class SliceMetricJet:
     g11_vv: float
     g12_uv: float
     g22_uu: float
-
-    @property
-    def det(self) -> float:
-        return self.g11 * self.g22 - self.g12 * self.g12
 
 
 def normalized_slice_metric_jet(profile: Profile, sp: SlicePoint) -> tuple[SliceMetricJet, float]:

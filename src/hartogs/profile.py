@@ -8,9 +8,11 @@ log f, the log-derivative L = f'/f and the pseudoconvexity density
 kcond = (t*L)' = L + t*L' with kcond' and kcond''.  None of these divides
 by f, so they stay exact where f underflows, and "f > 0" is "log f is
 finite".  A caller names the values it needs, and the jet goes only to the
-order they take: at one float (``Profile.values``, and f..f3), or on a grid
-as numpy arrays in one walk (``on_grid``), which reports each point where
-a guard of the tree fails, with the reason.  psi, the integral of the
+order they take.  ``Profile.values`` is the one entry: at a float it gives
+floats, over a numpy array one array per name from one walk, and either
+way it raises the first failing guard of the tree.  ``on_grid`` gives the
+same arrays with every failing point and its reason, for the callers that
+list them (``validate`` and ``completeness``).  psi, the integral of the
 density sqrt(-kcond(u^2)), and its inverse read one table of
 Gauss-Legendre panels per profile, built on first use, and so does the
 value of a convergent completeness integral.
@@ -103,9 +105,16 @@ class Profile:
     def _evaluator(self, name: str):
         return lambda t: self.values(t, name)[0]
 
-    def values(self, t: float, *names: str) -> tuple[float, ...]:
-        """The named values (keys of ORDERS) at the float t, from one jet.
-        Raises ExpressionEvalError where a guard of the tree fails."""
+    def values(self, t, *names: str) -> tuple:
+        """The named values (keys of ORDERS) at t, from one jet: floats at a
+        float, or over a 1-d numpy array one array per name, of the shape
+        of t.  Raises the ExpressionEvalError of the first point where a
+        guard of the tree fails."""
+        if isinstance(t, np.ndarray):
+            rows, errors = on_grid(self, t, *names)
+            if errors:
+                raise errors[min(errors)]
+            return tuple(rows)
         t = float(t)
         values, failures = _named_values(self.asts[0], t, names)
         if failures:
@@ -114,17 +123,17 @@ class Profile:
 
     @cached_property
     def _psi_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # the psi panels from 0 to u_edge (see edge): hi, or else the last
-        # float with f(u^2) >= F_FLOOR, bracketed by 64 points a pass
+        # the psi panels from 0 to u_edge (see edge): the last float u up to
+        # hi with u^2 < b and f(u^2) >= F_FLOOR, bracketed by 64 points a
+        # pass; the first tries hi and the two floats below it, among which
+        # that u lies when b is normal and f stays above F_FLOOR
         hi = ESCAPE_RADIUS if math.isinf(self.b) else math.sqrt(self.b)
-        while hi * hi >= self.b:
-            hi = math.nextafter(hi, 0.0)
-        lo, us = 0.0, np.array([hi])
+        below = math.nextafter(hi, 0.0)
+        lo, us = 0.0, np.array([math.nextafter(below, 0.0), below, hi])
         while us.size:
-            (f,), errors = on_grid(self, us * us, "f")
-            if errors:
-                raise errors[min(errors)]
-            above = f >= F_FLOOR
+            ts = us * us
+            (f,) = self.values(np.minimum(ts, math.nextafter(self.b, 0.0)), "f")
+            above = (ts < self.b) & (f >= F_FLOOR)
             j = len(us) if above.all() else int(np.argmin(above))
             lo, hi = us[j - 1] if j else lo, us[j] if j < len(us) else hi
             us = np.linspace(lo, hi, 66)[1:-1]
@@ -228,9 +237,7 @@ def _panel_integrals(profile: Profile, left, right, at) -> tuple[np.ndarray, np.
     if not np.isfinite(ts).all():
         u = float(us[np.argmin(np.isfinite(ts))])
         raise ExpressionEvalError(f"u^2 overflows float64 at u={u}")
-    (k,), errors = on_grid(profile, np.minimum(ts, math.nextafter(profile.b, 0.0)), "kcond")
-    if errors:
-        raise errors[min(errors)]
+    (k,) = profile.values(np.minimum(ts, math.nextafter(profile.b, 0.0)), "kcond")
     rho = np.sqrt(np.maximum(-k, 0.0))
     return half * (rho[:nodes.size].reshape(nodes.shape) @ _GL6_WEIGHTS), rho[nodes.size:]
 
@@ -311,8 +318,11 @@ def psi_inverse(profile: Profile, targets: np.ndarray, reach: float) -> np.ndarr
     return np.copysign(out, targets)
 
 
-def _check_range(profile: Profile, t: float):
-    if not 0.0 <= t < profile.b:
+def _check_range(profile: Profile, t):
+    """ValueError unless 0 <= t < b, at a float or every point of an array."""
+    inside = (0.0 <= t) & (t < profile.b)  # a bool at a float
+    if inside is not True and not np.all(inside):
+        t = np.ravel(t)[np.argmin(np.ravel(inside))]
         raise ValueError(f"t={t} outside the profile range [0, {profile.b})")
 
 

@@ -198,6 +198,16 @@ class TestGeodesicCommand:
         assert code == EXIT_INPUT
         assert "not strictly inside the slice (f - v^2 = nan)" in capsys.readouterr().err
 
+    def test_length_below_float_resolution_is_input_error(self, capsys):
+        # every sample of a length-1e-20 chord rounds onto its start, which
+        # the screen would read as a crossing
+        argv = ["geodesic", "--F", "1 - t", "--b", "1", "--dir", "1,1", "--length"]
+        assert main(argv + ["1e-20"]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: length 1e-20: consecutive samples coincide in float64\n"
+        code, report = run_json(capsys, *argv, "1e-12")
+        assert code == EXIT_OK
+        assert report["report"]["self_intersection"]["passed"] is True
+
 
 @pytest.mark.parametrize("argv", [
     # each exited as noted under an absolute guard on f - v^2 of 1e-12 and
@@ -214,6 +224,23 @@ def test_scale_free_probes_pass(capsys, argv):
     # are inside by the relative rule, GAP_REL * f
     code, _ = run_json(capsys, *argv)
     assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("command, code", [
+    ("completeness", EXIT_OK), ("classify", EXIT_OK), ("geodesic", EXIT_INPUT)])
+def test_deep_subnormal_bound_returns(command, code):
+    # a child process, so that a hang fails the test: the psi table used to
+    # pull sqrt(b) inside b one ulp at a time, some 1e12 steps here
+    result = subprocess.run(
+        [sys.executable, "-m", "hartogs.cli", command, "--F", "1 - t", "--b", "1e-320"],
+        env=_child_env(), capture_output=True, text=True, timeout=60)
+    assert result.returncode == code, result.stderr
+    if command == "completeness":
+        report = json.loads(result.stdout)["report"]
+        assert report["verdict"] == "incomplete"
+        assert report["integral_value"] == pytest.approx(1e-160, rel=1e-3)
+    else:
+        assert "Traceback" not in result.stderr
 
 
 class TestCompletenessCommand:
@@ -488,6 +515,16 @@ class TestCommandTable:
             code, report = run_json(capsys, command, *argv)
             assert code == EXIT_OK, argv
             assert report["config"]["options"] == expected
+
+    @pytest.mark.parametrize("command, name", [
+        (command, name) for command, (_, options) in sorted(_COMMANDS.items())
+        for name, (_, _, default, _) in options.items() if default is not None] + [
+        ("geodesic", "out")])
+    def test_null_or_misshapen_option_is_input_error(self, capsys, tmp_path, command, name):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({name: ["a"] if name == "out" else None}))
+        assert main([command, "--F", "1 - t", "--b", "1", "--config", str(config)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: {name} must be a ")
 
     @pytest.mark.parametrize(
         "command, report_type, extra",

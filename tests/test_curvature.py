@@ -212,3 +212,9 @@ class TestClassification:
         # (c1 - c2 t)^1 is linear; classification order resolves the overlap
         r = classify_profile(parse_profile("(1.5 - 0.5*t)^1", 3.0, 2))
         assert r.family == FAMILY_HYPERBOLIC
+
+    @pytest.mark.parametrize("source", ["t - 1", "-1 - t", "-exp(-t)"])
+    def test_f0_not_positive_raises(self, source):
+        # the reports test g = f/f(0); at f(0) < 0 that is -f, whose family f has not
+        with pytest.raises(ArithmeticError, match=r"f\(0\) = "):
+            classify_profile(parse_profile(source, 1.0, 2))

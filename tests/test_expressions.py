@@ -168,6 +168,16 @@ class TestGuards:
         assert f[0] == 2.0 and math.isnan(f[1])
         assert list(errors) == [1] and str(errors[1]) == "division by zero at t=1.0"
 
+    def test_values_over_an_array_raise_the_first_failure(self):
+        # one entry for floats and arrays: an array gives one row per name,
+        # equal to the floats, and raises the first failing point's error
+        p = _profile("1 / (1 - t) + 1 / (2 - t)")
+        ts = np.array([0.5, 0.25])
+        f, f1 = p.values(ts, "f", "f1")
+        assert f.tolist() == [p.f(t) for t in ts] and f1.tolist() == [p.f1(t) for t in ts]
+        with pytest.raises(ExpressionEvalError, match="division by zero at t=2.0"):
+            p.values(np.array([0.5, 2.0, 1.0]), "f")
+
     def test_compiled_infinite_fold_evaluates(self):
         assert evaluate("1e300*1e300 - t", 1.0) == math.inf
         assert math.isnan(evaluate("1e300*1e300 - 1e300*1e300 + t", 1.0))

@@ -21,7 +21,9 @@ from hartogs import (
     einstein_check,
     gauss_curvature_slice,
     integrate_geodesic,
+    parse_profile,
     slice_metric,
+    validate,
 )
 from hartogs.metric import slice_metric_jet
 
@@ -104,3 +106,38 @@ class TestMuRelation:
             assert got.verdict == want.verdict
             assert got.integral_value == pytest.approx(want.integral_value, rel=TOL)
             assert einstein_check(profile).is_einstein == einstein_check(family.profile).is_einstein
+
+
+# Scales for the reports, which read f only through f/f(0); the slice
+# checks above stay where f is above F_FLOOR.
+REPORT_MU2 = (1e-200, 1e-160, 1e160, 1e300)
+
+
+def _mapped_params(result, mu2) -> dict:
+    """The parameters the family of mu2 * F has, from those of F: c and c1 -
+    c2*t scale by mu2, (c1 + c2*t)^p by mu2^(1/p), p = -2/K0."""
+    params = dict(result.params)
+    power = -0.5 * params["K0"] if "K0" in params else 1.0
+    for name in ("c", "c1", "c2"):
+        if name in params:
+            params[name] = math.exp(math.log(abs(params[name])) + power * math.log(mu2)) \
+                * math.copysign(1.0, params[name])
+    return params
+
+
+@pytest.mark.parametrize("mu2", REPORT_MU2)
+def test_reports_are_invariant(battery, mu2):
+    near_linear = parse_profile("2 - t + 1e-9*t^2", 1.0, 2)
+    for original in [family.profile for family in battery] + [near_linear]:
+        profile = scaled(original, mu2)
+        assert validate(profile).valid == validate(original).valid, original
+        got, want = classify_profile(profile), classify_profile(original)
+        assert got.family == want.family, original
+        expected = _mapped_params(want, mu2)
+        assert set(got.params) == set(expected)
+        for name, value in got.params.items():
+            assert value == pytest.approx(expected[name], rel=TOL, abs=0.0), (original, name)
+        assert einstein_check(profile).is_einstein == einstein_check(original).is_einstein
+        got, want = completeness(profile), completeness(original)
+        assert got.verdict == want.verdict, original
+        assert got.integral_value == pytest.approx(want.integral_value, rel=TOL), original
