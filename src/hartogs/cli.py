@@ -140,6 +140,10 @@ def _cmd_curvature(profile: Profile, config: RunConfig):
     u_max = config.options["u_max"]
     if u_max is None:
         u_max = 0.95 * math.sqrt(profile.b) if math.isfinite(profile.b) else 2.0
+    # the window may reach the rim, sqrt(b), but neither pass it nor be infinite
+    if not 0.0 <= u_max < math.inf or u_max * u_max > profile.b:  # nan too
+        raise ValueError(f"u_max must satisfy 0 <= u_max < inf and u_max^2 <= b, "
+                         f"got u_max={u_max} with b={profile.b}")
     rng = np.random.default_rng(config.seed)
     points = []
     for _ in range(config.options["points"]):
@@ -337,7 +341,7 @@ def main(argv=None) -> int:
         error = {"message": str(exc), "position": exc.position}
         sys.stdout.write(_emit_report(config, started, error=error))
         return EXIT_INPUT
-    except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     return code

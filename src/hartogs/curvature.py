@@ -5,13 +5,15 @@ on the analytic metric jet; for every valid profile it comes out -1/2 to
 near machine precision.  The base surface {z = 0} carries the conformal
 metric with density -2*kcond.  Its curvature, (mu' + x*mu'')/kcond with
 mu = log(-kcond), needs kcond, kcond' and kcond'', which the profile's
-order-4 jet gives from the coefficients of log f.  The classifier takes
-f..f3 and these from one jet of its grid: flat base <-> c*exp(-k t),
-constant K0 != 0 <-> (c1 + c2 t)^(-2/K0), and the vanishing of the
-straight-line residual singles out the linear profiles of the
-complex-hyperbolic case.  As (z0, z) -> (z0, mu*z) maps D_F onto D_(mu^2 F)
-isometrically, both reports test g = f/f(0) and map what they report back
-to f: c and c1 - c2*t scale with f(0), (c1 + c2*t)^p with f(0)^(1/p).
+order-4 jet gives from the coefficients of log f.  Both grid reports read
+f..f3 and these off one jet of their grid, which the profile keeps per grid
+size (``Profile.report_jet``), so whichever runs second walks nothing.  The
+classifier: flat base <-> c*exp(-k t), constant K0 != 0 <->
+(c1 + c2 t)^(-2/K0), and the vanishing of the straight-line residual singles
+out the linear profiles of the complex-hyperbolic case.  As
+(z0, z) -> (z0, mu*z) maps D_F onto D_(mu^2 F) isometrically, both reports
+test g = f/f(0) and map what they report back to f: c and c1 - c2*t scale
+with f(0), (c1 + c2*t)^p with f(0)^(1/p).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .connection import residual_terms
 from .metric import SlicePoint, normalized_slice_metric_jet
-from .profile import Profile, _check_range, chebyshev_grid
+from .profile import Profile, _check_range
 
 FAMILY_HYPERBOLIC = "hyperbolic"
 FAMILY_SPRING = "spring"
@@ -114,12 +116,12 @@ class EinsteinReport:
 
 def _report_grid(profile: Profile, grid: int, *names: str):
     """(ts, values at 0, values): the named values on the reports'
-    Chebyshev grid, ts[0] = 0, from one jet, with f..f3 divided by f(0)
-    in the last.  The first name is "f"."""
+    Chebyshev grid, ts[0] = 0, read off the profile's report jet, with
+    f..f3 divided by f(0) in the last.  The first name is "f"."""
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
-    ts = chebyshev_grid(profile.grid_limit() * (1.0 - 1e-6), grid)
-    values = profile.values(ts, *names)
+    ts, rows = profile.report_jet(grid)
+    values = [rows[name] for name in names]
     f0 = values[0][0]
     with np.errstate(all="ignore"):  # inf and nan pass on, as in float arithmetic
         scaled = [x / f0 if name[0] == "f" else x for name, x in zip(names, values)]
@@ -166,8 +168,8 @@ def classify_profile(profile: Profile, grid: int = 64) -> ClassificationResult:
     """
     ts, (f0, f1_0, *_), (g, g1, g2, g3, k_grid, *k_derivatives) = _report_grid(
         profile, grid, "f", "f1", "f2", "f3", "kcond", "kcond1", "kcond2")
-    if not f0 > 0.0:  # else g is -f, or nan, which _max skips
-        raise ArithmeticError(f"f(0) = {f0}; classification needs it positive")
+    if not 0.0 < f0 < math.inf:  # else g is -f, or nan, which _max skips
+        raise ArithmeticError(f"f(0) = {f0}; classification needs it positive and finite")
     g1_0 = float(g1[0])  # ts[0] = 0, where g = 1
     with np.errstate(all="ignore"):  # inf and nan pass on, as in float arithmetic
         residual_max = _max(np.abs(residual_terms(ts, g, g1, g2, g3)))

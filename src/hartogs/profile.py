@@ -15,7 +15,9 @@ same arrays with every failing point and its reason, for the callers that
 list them (``validate`` and ``completeness``).  psi, the integral of the
 density sqrt(-kcond(u^2)), and its inverse read one table of
 Gauss-Legendre panels per profile, built on first use, and so does the
-value of a convergent completeness integral.
+value of a convergent completeness integral; at a break of the table psi
+is the table's value.  The curvature reports read one kept jet of their
+grid (``Profile.report_jet``), walked on first use.
 """
 
 from __future__ import annotations
@@ -74,15 +76,20 @@ _FACTORIALS = (1.0, 1.0, 2.0, 6.0)
 # kcond^(j) = (j+1) L^(j) + t L^(j+1), with L^(j) = (j+1)! l_(j+1)
 _FROM_LOGS = {"L": (1, 1.0, 0.0), "kcond": (1, 1.0, 2.0), "kcond1": (2, 4.0, 6.0),
               "kcond2": (3, 18.0, 24.0)}
+# The values the curvature reports read on their grid, from one order-4 jet.
+REPORT_NAMES = ("f", "f1", "f2", "f3", "kcond", "kcond1", "kcond2")
 
 
 class Profile:
     """Immutable profile with evaluators f, f1, f2, f3 and bound b.
 
     ``b`` may be ``math.inf``.  ``n`` is the complex dimension of the
-    associated domain (at least 2).  Instances are safe to share across
-    threads: every value comes from a fresh jet of the one parsed tree,
-    which ``asts`` holds and ``kcond_ast`` is, and only the psi table is kept.
+    associated domain (at least 2).  Every value comes from a jet of the
+    one parsed tree, which ``asts`` holds and ``kcond_ast`` is.  Two results
+    are kept, each built on first use: the psi table, and the reports' grid
+    jet, one entry per grid size (``report_jet``).  Both are pure functions
+    of the profile, so instances are safe to share across threads: two
+    threads may both build one, and either result is the same.
     """
 
     def __init__(self, ast: Expr, b: float, n: int, source: str | None = None):
@@ -98,6 +105,7 @@ class Profile:
         self.n = n
         self.source = source
         self.f, self.f1, self.f2, self.f3 = map(self._evaluator, ("f", "f1", "f2", "f3"))
+        self._report_jets: dict[int, tuple[np.ndarray, dict[str, np.ndarray]]] = {}
 
     def __repr__(self):
         return f"Profile({self.source!r}, b={self.b}, n={self.n})"
@@ -120,6 +128,20 @@ class Profile:
         if failures:
             raise ExpressionEvalError(f"{failures[0]} at t={t}")
         return tuple(map(float, values))
+
+    def report_jet(self, grid: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """(ts, {name: values}) of REPORT_NAMES on the reports' Chebyshev
+        grid of ``grid`` points, from ts[0] = 0 to just inside grid_limit(),
+        from one jet of the grid.  Kept per grid size as read-only arrays
+        once the walk succeeds; a walk that raises keeps nothing, so every
+        call raises the same error."""
+        if grid not in self._report_jets:
+            ts = chebyshev_grid(self.grid_limit() * (1.0 - 1e-6), grid)
+            rows = self.values(ts, *REPORT_NAMES)
+            for array in (ts, *rows):
+                array.flags.writeable = False
+            self._report_jets[grid] = ts, dict(zip(REPORT_NAMES, rows))
+        return self._report_jets[grid]
 
     @cached_property
     def _psi_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -267,11 +289,13 @@ def _psi_table_to(profile: Profile, reach: float):
 
 
 def psi_value(profile: Profile, u: float) -> tuple[float, float]:
-    """(psi(u), density at u): the table's psi at the last break below |u|,
-    plus one GL6 panel, signed as u."""
+    """(psi(u), density at u), signed as u: the table's values where |u| is
+    a break, else its psi at the last break below |u| plus one GL6 panel."""
     x = abs(u)
-    breaks, values, _ = _psi_table_to(profile, x)
+    breaks, values, rhos = _psi_table_to(profile, x)
     k = int(np.searchsorted(breaks, x, side="right")) - 1
+    if breaks[k] == x:
+        return math.copysign(float(values[k]), u), float(rhos[k])
     integral, rho = _panel_integrals(profile, breaks[k:k + 1], np.array([x]), np.array([x]))
     return math.copysign(float(values[k] + integral[0]), u), float(rho[0])
 

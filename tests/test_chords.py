@@ -10,10 +10,14 @@ import pytest
 from scipy.integrate import IntegrationWarning, quad, solve_ivp
 
 import hartogs.connection
+import hartogs.hyperbolic
 import hartogs.profile
 from hartogs import (
     OutsideDomainError,
     SlicePoint,
+    classify_profile,
+    completeness,
+    einstein_check,
     integrate_geodesic,
     parse_profile,
     psi,
@@ -27,7 +31,9 @@ from hartogs.connection import (
     _christoffel_closed_terms,
     _segment_distances,
 )
-from hartogs.profile import GAP_REL, psi_inverse
+from hartogs.expressions import ExpressionEvalError
+from hartogs.hyperbolic import VERDICT_INCOMPLETE
+from hartogs.profile import GAP_REL, _lay_psi_table, _panel_integrals, psi_inverse, psi_value
 
 DIRECTIONS = [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (-0.8, 0.3)]
 
@@ -365,6 +371,53 @@ class TestPsiTable:
             assert trace.s[-1] == length
             passes.append(kcond.passes)
         assert 0 < passes[1] <= passes[0]
+
+    def test_completeness_reads_psi_at_its_last_rung_off_the_table(self, monkeypatch):
+        # the ladder, then the table laid to the last rung u = 2^16, which is
+        # its last break: psi there is the table's value, walked no further
+        p, kcond = _counted_kcond("(1 + t)^(-2)", math.inf, monkeypatch)
+        ladder = kcond._counted_grid(p, hartogs.hyperbolic.on_grid)
+        monkeypatch.setattr(hartogs.hyperbolic, "on_grid", ladder)
+        report = completeness(p)
+        assert report.verdict == VERDICT_INCOMPLETE
+        assert kcond.passes == 2
+        u_last = report.diagnostics["ladder_u"][-1]
+        breaks, values, _ = _lay_psi_table(p, u_last)
+        assert breaks[-1] == u_last
+        # the value is bit for bit that of one more panel, of width zero
+        at = np.array([u_last])
+        integral, rho = _panel_integrals(p, breaks[-1:], at, at)
+        assert psi_value(p, -u_last) == (-(values[-1] + integral[0]), rho[0])
+        assert report.integral_value == values[-1] + integral[0] + report.diagnostics["tail"]
+
+
+class TestReportJet:
+    SOURCE = "1/(1 + 0.7409*t + 1.6214*t^2)"
+
+    @pytest.mark.parametrize("first, second", [(classify_profile, einstein_check),
+                                               (einstein_check, classify_profile)])
+    def test_reports_walk_each_grid_once(self, monkeypatch, first, second):
+        p, kcond = _counted_kcond(self.SOURCE, math.inf, monkeypatch)
+        for grid in (64, 32):
+            reports = [first(p, grid), second(p, grid)]
+            fresh = parse_profile(self.SOURCE, math.inf, 2)
+            assert reports == [first(fresh, grid), second(fresh, grid)]
+        assert kcond.passes == 2
+
+    def test_kept_arrays_are_read_only(self):
+        ts, rows = parse_profile(self.SOURCE, math.inf, 2).report_jet(64)
+        for array in (ts, *rows.values()):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_failing_walk_keeps_nothing(self):
+        p = parse_profile("log(t - 1)", math.inf, 2)
+        messages = []
+        for report in (classify_profile, einstein_check, classify_profile):
+            with pytest.raises(ExpressionEvalError) as raised:
+                report(p)
+            messages.append(str(raised.value))
+        assert messages == [messages[0]] * 3
 
 
 class TestPrunedScreen:

@@ -443,6 +443,27 @@ class TestOptionChecks:
         code = main(["validate", "--F", "exp(-t)", "--b", "inf", "--t-max", t_max])
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("u_max, b", [("5", "1"), ("-1", "1"), ("nan", "1"),
+                                          ("inf", "inf")])
+    def test_u_max_must_lie_in_the_slice(self, capsys, u_max, b):
+        # outside [0, sqrt(b)] the sampler failed in math or numpy, with their words
+        code = main(["curvature", "--F", "exp(-t)", "--b", b, "--points", "3",
+                     "--u-max", u_max])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: u_max must satisfy 0 <= u_max < inf and u_max^2 <= b, "
+            f"got u_max={float(u_max)} with b={float(b)}\n")
+
+    def test_memory_error_is_input_error(self, capsys, monkeypatch):
+        # a grid too large to allocate; exit 1 would read as a property breach
+        def unallocatable(profile, grid):
+            raise MemoryError(f"cannot allocate a grid of {grid} points")
+
+        monkeypatch.setattr(hartogs.cli, "einstein_check", unallocatable)
+        code = main(["einstein", "--F", "exp(-t)", "--b", "inf", "--grid", "64"])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == "error: cannot allocate a grid of 64 points\n"
+
 
 def _child_env() -> dict:
     """The environment of a child python that imports this hartogs."""

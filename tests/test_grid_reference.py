@@ -187,6 +187,8 @@ def reference_classify(source, profile, grid=64):
     ts, rows = _grid_values(source, profile, NAMES, grid)
     fs = rows["f"]
     f0, f1_0 = fs[0], rows["f1"][0]
+    if not 0.0 < f0 < math.inf:
+        raise ArithmeticError(f"f(0) = {f0}; classification needs it positive and finite")
     residual_scale = 0.0
     residual_max = 0.0
     for t, f, f1, f2, f3 in zip(ts, fs, rows["f1"], rows["f2"], rows["f3"]):
