@@ -1,19 +1,21 @@
 """Curvature computations and the profile family classification.
 
 The Gaussian curvature of the slice is evaluated with the Brioschi formula
-on the analytic metric jet; for every valid profile it comes out -1/2 to
-near machine precision.  The base surface {z = 0} carries the conformal
-metric with density -2*kcond.  Its curvature, (mu' + x*mu'')/kcond with
-mu = log(-kcond), needs kcond, kcond' and kcond'', which the profile's
-order-4 jet gives from the coefficients of log f.  Both grid reports read
-f..f3 and these off one jet of their grid, which the profile keeps per grid
-size (``Profile.report_jet``), so whichever runs second walks nothing.  The
-classifier: flat base <-> c*exp(-k t), constant K0 != 0 <->
-(c1 + c2 t)^(-2/K0), and the vanishing of the straight-line residual singles
-out the linear profiles of the complex-hyperbolic case.  As
-(z0, z) -> (z0, mu*z) maps D_F onto D_(mu^2 F) isometrically, both reports
-test g = f/f(0) and map what they report back to f: c and c1 - c2*t scale
-with f(0), (c1 + c2*t)^p with f(0)^(1/p).
+on the analytic metric jet of the point's normalized image, whose entries
+one jet walk gives as plain floats (``normalized_slice_jet_values``); for
+every valid profile it comes out -1/2 to near machine precision.  The base
+surface {z = 0} carries the conformal metric with density -2*kcond.  Its
+curvature, (mu' + x*mu'')/kcond with mu = log(-kcond), needs kcond, kcond'
+and kcond'', which the profile's order-4 jet gives from the coefficients of
+log f.  Both grid reports read f..f3 and these off one jet of their grid,
+which the profile keeps per grid size (``Profile.report_jet``), so
+whichever runs second walks nothing.  The classifier: flat base <->
+c*exp(-k t), constant K0 != 0 <-> (c1 + c2 t)^(-2/K0), and the vanishing of
+the straight-line residual singles out the linear profiles of the
+complex-hyperbolic case.  As (z0, z) -> (z0, mu*z) maps D_F onto
+D_(mu^2 F) isometrically, both reports test g = f/f(0), and raise
+ArithmeticError unless 0 < f(0) < inf, and map what they report back to f:
+c and c1 - c2*t scale with f(0), (c1 + c2*t)^p with f(0)^(1/p).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connection import residual_terms
-from .metric import SlicePoint, normalized_slice_metric_jet
+from .metric import SlicePoint, normalized_slice_jet_values
 from .profile import Profile, _check_range
 
 FAMILY_HYPERBOLIC = "hyperbolic"
@@ -41,37 +43,33 @@ FIT_TOL = 1e-6
 RESIDUAL_TOL = 1e-9
 
 
-def _det3(m) -> float:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
 def brioschi_curvature(jet) -> float:
     """Brioschi formula for the Gaussian curvature of a 2D metric.
 
     ``jet`` provides g11, g12, g22 and the partials g11_u, g11_v, g11_vv,
     g12_u, g12_v, g12_uv, g22_u, g22_v, g22_uu.
     """
-    det = jet.g11 * jet.g22 - jet.g12 * jet.g12
-    m1 = (
-        (-0.5 * jet.g11_vv + jet.g12_uv - 0.5 * jet.g22_uu, 0.5 * jet.g11_u, jet.g12_u - 0.5 * jet.g11_v),
-        (jet.g12_v - 0.5 * jet.g22_u, jet.g11, jet.g12),
-        (0.5 * jet.g22_v, jet.g12, jet.g22),
-    )
-    m2 = (
-        (0.0, 0.5 * jet.g11_v, 0.5 * jet.g22_u),
-        (0.5 * jet.g11_v, jet.g11, jet.g12),
-        (0.5 * jet.g22_u, jet.g12, jet.g22),
-    )
-    return (_det3(m1) - _det3(m2)) / (det * det)
+    return _brioschi(jet.g11, jet.g12, jet.g22, jet.g11_u, jet.g11_v, jet.g12_u, jet.g12_v,
+                     jet.g22_u, jet.g22_v, jet.g11_vv, jet.g12_uv, jet.g22_uu)
+
+
+def _brioschi(g11, g12, g22, g11_u, g11_v, g12_u, g12_v, g22_u, g22_v, g11_vv, g12_uv, g22_uu):
+    # (det m1 - det m2) / det^2, each 3x3 determinant expanded along its
+    # first row, with m1 = [[a, b, c], [d, g11, g12], [e, g12, g22]] and
+    # m2 = [[0, p, q], [p, g11, g12], [q, g12, g22]]
+    det = g11 * g22 - g12 * g12
+    a, b, c = -0.5 * g11_vv + g12_uv - 0.5 * g22_uu, 0.5 * g11_u, g12_u - 0.5 * g11_v
+    d, e = g12_v - 0.5 * g22_u, 0.5 * g22_v
+    p, q = 0.5 * g11_v, 0.5 * g22_u
+    det1 = a * det - b * (d * g22 - g12 * e) + c * (d * g12 - g11 * e)
+    det2 = 0.0 * det - p * (p * g22 - g12 * q) + q * (p * g12 - g11 * q)
+    return (det1 - det2) / (det * det)
 
 
 def gauss_curvature_slice(profile: Profile, sp: SlicePoint) -> float:
-    """Gaussian curvature of the slice at (u, v), from its normalized image."""
-    return brioschi_curvature(normalized_slice_metric_jet(profile, sp)[0])
+    """Gaussian curvature of the slice at (u, v), from the jet entries of
+    its normalized image."""
+    return _brioschi(*normalized_slice_jet_values(profile, sp)[0])
 
 
 def gauss_curvature_base(profile: Profile, x: float) -> float:
@@ -117,24 +115,27 @@ class EinsteinReport:
 def _report_grid(profile: Profile, grid: int, *names: str):
     """(ts, values at 0, values): the named values on the reports'
     Chebyshev grid, ts[0] = 0, read off the profile's report jet, with
-    f..f3 divided by f(0) in the last.  The first name is "f"."""
+    f..f3 divided by f(0) in the last.  The first name is "f"; raises
+    ArithmeticError unless 0 < f(0) < inf.  Called under
+    np.errstate(all="ignore")."""
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
     ts, rows = profile.report_jet(grid)
     values = [rows[name] for name in names]
-    f0 = values[0][0]
-    with np.errstate(all="ignore"):  # inf and nan pass on, as in float arithmetic
-        scaled = [x / f0 if name[0] == "f" else x for name, x in zip(names, values)]
-    return ts, [float(x[0]) for x in values], scaled
+    at_0 = [x.item(0) for x in values]
+    f0 = at_0[0]
+    if not 0.0 < f0 < math.inf:  # else g is -f, or nan
+        raise ArithmeticError(f"f(0) = {f0}; the reports need it positive and finite")
+    return ts, at_0, [x / f0 if name[0] == "f" else x for name, x in zip(names, values)]
 
 
 def einstein_check(profile: Profile, grid: int = 64) -> EinsteinReport:
     """Test constancy of the determinant invariant J / f(0)^2 on a grid."""
-    _, (f0, _), (g, k) = _report_grid(profile, grid, "f", "kcond")
     with np.errstate(all="ignore"):  # inf and nan pass on, as in float arithmetic
+        _, (f0, _), (g, k) = _report_grid(profile, grid, "f", "kcond")
         values = -g * g * k  # monge_ampere_J / f(0)^2
-        mean = float(np.mean(values))
-        variation = float(np.max(np.abs(values - mean))) / abs(mean)
+        mean = float(values.mean())
+        variation = float(np.abs(values - mean).max()) / abs(mean)
     return EinsteinReport(variation < CONSTANCY_TOL, variation, mean * f0 * f0)
 
 
@@ -166,16 +167,15 @@ def classify_profile(profile: Profile, grid: int = 64) -> ClassificationResult:
     families, anything else is generic.  A candidate family is only
     accepted when the reconstructed profile matches on the grid.
     """
-    ts, (f0, f1_0, *_), (g, g1, g2, g3, k_grid, *k_derivatives) = _report_grid(
-        profile, grid, "f", "f1", "f2", "f3", "kcond", "kcond1", "kcond2")
-    if not 0.0 < f0 < math.inf:  # else g is -f, or nan, which _max skips
-        raise ArithmeticError(f"f(0) = {f0}; classification needs it positive and finite")
-    g1_0 = float(g1[0])  # ts[0] = 0, where g = 1
     with np.errstate(all="ignore"):  # inf and nan pass on, as in float arithmetic
+        ts, (f0, f1_0, *_), (g, g1, g2, g3, k_grid, *k_derivatives) = _report_grid(
+            profile, grid, "f", "f1", "f2", "f3", "kcond", "kcond1", "kcond2")
+        g1_0 = g1.item(0)  # ts[0] = 0, where g = 1
         residual_max = _max(np.abs(residual_terms(ts, g, g1, g2, g3)))
+        tt, abs_g2, abs_g3 = ts * ts, np.abs(g2), np.abs(g3)
         residual_scale = _max(
-            ts * ts * g2 * g2 + np.abs(g) * (2.0 * np.abs(g2) + ts * np.abs(g3))
-            + np.abs(g1) * (2.0 * ts * np.abs(g2) + ts * ts * np.abs(g3))
+            tt * g2 * g2 + np.abs(g) * (2.0 * abs_g2 + ts * abs_g3)
+            + np.abs(g1) * (2.0 * ts * abs_g2 + tt * abs_g3)
         )
         if residual_max <= RESIDUAL_TOL * residual_scale:
             fit = _relative_fit_residual(g, 1.0 + g1_0 * ts)
@@ -188,7 +188,7 @@ def classify_profile(profile: Profile, grid: int = 64) -> ClassificationResult:
         if bad.size:  # raise what gauss_curvature_base raises at the first bad point
             gauss_curvature_base(profile, float(ts[bad[0]]))
         curvatures = _base_curvature(ts, k_grid, *k_derivatives)
-        k_mean = float(np.mean(curvatures))
+        k_mean = float(curvatures.mean())
         spread = _max(np.abs(curvatures - k_mean))
 
         if _max(np.abs(curvatures)) < CONSTANCY_TOL:

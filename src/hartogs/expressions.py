@@ -342,14 +342,15 @@ def _times(x, y):
 
 def _cauchy(a: list, b: list, n: int) -> list:
     """The product of two coefficient lists, to n terms."""
-    if len(a) == 1 or len(b) == 1:  # a constant factor, or order 0
-        v, other = (a[0], b) if len(a) == 1 else (b[0], a)
+    len_a, len_b = len(a), len(b)
+    if len_a == 1 or len_b == 1:  # a constant factor, or order 0
+        v, other = (a[0], b) if len_a == 1 else (b[0], a)
         return [_times(v, x) for x in other]
     out = []
-    for k in range(min(n, len(a) + len(b) - 1)):
-        i = max(0, k - len(b) + 1)
+    for k in range(min(n, len_a + len_b - 1)):
+        i = max(0, k - len_b + 1)
         total = _times(a[i], b[k - i])
-        for i in range(i + 1, min(k, len(a) - 1) + 1):
+        for i in range(i + 1, min(k, len_a - 1) + 1):
             total = total + _times(a[i], b[k - i])
         out.append(total)
     return out

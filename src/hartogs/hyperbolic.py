@@ -30,7 +30,7 @@ from .metric import (
     domain_values,
     slice_values,
 )
-from .profile import Profile, kcond, not_pseudoconvex, on_grid, psi_value
+from .profile import Profile, not_pseudoconvex, on_grid, psi_value
 
 VERDICT_COMPLETE = "complete"
 VERDICT_INCOMPLETE = "incomplete"
@@ -48,17 +48,6 @@ _SLOPE_SPREAD_TOL = 0.25
 
 class ProfileFamilyError(ValueError):
     """Operation requires a profile from a specific family."""
-
-
-def completeness_integrand(profile: Profile, u: float) -> float:
-    """sqrt(-kcond(u^2)): the arc-length density of the u-axis, up to sqrt(2)."""
-    return _density(u * u, kcond(profile, u * u))
-
-
-def _density(t: float, k: float) -> float:
-    if -k < 0.0:
-        raise not_pseudoconvex(t)
-    return math.sqrt(-k)
 
 
 def psi(profile: Profile, u: float) -> float:
@@ -160,7 +149,7 @@ def completeness(profile: Profile) -> CompletenessReport:
             reason = f"value {density[n]}"
         diagnostics["evaluation_failures"] = [(float(u[n]), reason)]
     # math.log10 rounds as the slopes always have; np.log10 may differ in the last bit
-    log_x, log_i = (np.array([math.log10(y) for y in z[:n]]) for z in (x, density))
+    log_x, log_i = (np.array([math.log10(y) for y in z[:n].tolist()]) for z in (x, density))
     slopes = (np.diff(log_i) / np.diff(log_x)).tolist()
     verdict = _classify_tail(slopes, boundary)
 
@@ -184,24 +173,19 @@ def completeness(profile: Profile) -> CompletenessReport:
 # ---------------------------------------------------------------------------
 # Embedding of the linear family into the unit ball
 
-def hyperbolic_params(profile: Profile) -> tuple[float, float]:
-    """(c1, c2) of a linear profile c1 - c2*t, or raise ProfileFamilyError."""
-    result = classify_profile(profile)
-    if result.family != FAMILY_HYPERBOLIC:
-        raise ProfileFamilyError(
-            f"profile classified as {result.family!r}; the ball embedding "
-            "exists only for linear profiles"
-        )
-    return result.params["c1"], result.params["c2"]
-
-
 def phi_embed(profile: Profile, point: DomainPoint) -> DomainPoint:
     """Rescale a point of a linear-profile domain into the unit ball.
 
     (z0, z_1, ..) -> (z0 / sqrt(c1/c2), z_1 / sqrt(c1), ..); a holomorphic
     isometry onto an open subset of the ball.
     """
-    c1, c2 = hyperbolic_params(profile)
+    result = classify_profile(profile)
+    if result.family != FAMILY_HYPERBOLIC:
+        raise ProfileFamilyError(
+            f"profile classified as {result.family!r}; the ball embedding "
+            "exists only for linear profiles"
+        )
+    c1, c2 = result.params["c1"], result.params["c2"]
     domain_values(profile, point)
     scale0 = 1.0 / math.sqrt(c1 / c2)
     scale = 1.0 / math.sqrt(c1)

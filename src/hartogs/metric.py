@@ -22,7 +22,10 @@ by a constant.  So the metric jet is evaluated at the image of (u, v) under
 z -> z / sqrt(f(u^2)), on the profile F / f(u^2), where f = 1 and the gap
 lies in [GAP_REL, 1], and mapped back; no power of the gap can leave the
 float range there.  F_FLOOR, the float64 floor of f itself, is the only
-limit that depends on the scale of f.
+limit that depends on the scale of f.  ``normalized_slice_jet_values``
+gives the entries of that jet as a tuple of floats, from which the slice
+curvature is read directly; ``slice_metric_jet`` maps them back to sp and
+wraps them in a ``SliceMetricJet``.
 """
 
 from __future__ import annotations
@@ -153,13 +156,6 @@ def hermitian_metric(profile: Profile, point: DomainPoint) -> np.ndarray:
     return h
 
 
-def riemannian_inner(h: np.ndarray, x, y) -> float:
-    """Real inner product 2*Re(x^T h conj(y)) of real tangents in complex form."""
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    return float(2.0 * np.real(x @ h @ np.conj(y)))
-
-
 def slice_c(t, f1, f2, w):
     """c = f1^2 t - (f1 + f2 t) w, with g11 = 2c/w^2; floats or numpy arrays."""
     return f1 * f1 * t - (f1 + f2 * t) * w
@@ -223,10 +219,12 @@ class SliceMetricJet(SliceMetric):
     g22_uu: float
 
 
-def normalized_slice_metric_jet(profile: Profile, sp: SlicePoint) -> tuple[SliceMetricJet, float]:
-    """(jet, a): the metric jet at (u, a*v), a = 1/sqrt(f(u^2)), the image of
-    sp on the profile F / f(u^2), where f = 1 and the gap is (f - v^2) / f.
-    The image is isometric to sp, so K may be read off this jet directly."""
+def normalized_slice_jet_values(profile: Profile, sp: SlicePoint) -> tuple[tuple, float]:
+    """(entries, a): the 12 entries of the metric jet at (u, a*v), floats in
+    the field order of SliceMetricJet, and a = 1/sqrt(f(u^2)); (u, a*v) is
+    the image of sp on the profile F / f(u^2), where f = 1 and the gap is
+    (f - v^2) / f.  The image is isometric to sp, so K may be read off
+    these entries directly."""
     w, (f, f1, f2, f3) = slice_values(profile, sp, "f1", "f2", "f3")
     a = 1.0 / math.sqrt(f)
     u, v, t = sp.u, sp.v * a, sp.u * sp.u
@@ -254,8 +252,8 @@ def normalized_slice_metric_jet(profile: Profile, sp: SlicePoint) -> tuple[Slice
     g11_vv = 2.0 * c_vv / w2 + 16.0 * v * c_v / w3 + 8.0 * c / w3 + 48.0 * v * v * c / w4
     g12_uv = -2.0 * d1 / w2 - 8.0 * v * v * d1 / w3 + 8.0 * tf1_2 / w3 + 48.0 * tf1_2 * v * v / w4
     g22_uu = 4.0 * d1 / w2 - 32.0 * tf1_2 / w3 - 8.0 * d1 / w3 + 48.0 * tf1_2 / w4
-    return SliceMetricJet(g11, g12, g22, g11_u, g11_v, g12_u, g12_v, g22_u, g22_v,
-                          g11_vv, g12_uv, g22_uu), a
+    return (g11, g12, g22, g11_u, g11_v, g12_u, g12_v, g22_u, g22_v,
+            g11_vv, g12_uv, g22_uu), a
 
 
 # The number of v's among the indices and derivatives of each jet entry
@@ -265,5 +263,5 @@ _V_COUNTS = (0, 1, 2, 0, 1, 1, 2, 2, 3, 2, 2, 2)
 def slice_metric_jet(profile: Profile, sp: SlicePoint) -> SliceMetricJet:
     """The metric jet at sp, mapped back from its normalized image: an entry
     with k v's among its indices and derivatives scales by a^k."""
-    jet, a = normalized_slice_metric_jet(profile, sp)
-    return SliceMetricJet(*(x * a ** k for x, k in zip(vars(jet).values(), _V_COUNTS)))
+    entries, a = normalized_slice_jet_values(profile, sp)
+    return SliceMetricJet(*(x * a ** k for x, k in zip(entries, _V_COUNTS)))

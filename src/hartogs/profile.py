@@ -189,7 +189,7 @@ def _named_values(ast: Expr, t, names) -> tuple[list, dict]:
     to the order they need, and the reasons its guards failed, by index:
     f^(k) = k! c_k from the direct form sum c_k h^k, and the others from
     the coefficients l_k of log f, as L^(k) = (k+1)! l_(k+1)."""
-    walk = Walk(t, max(ORDERS[name] for name in names))
+    walk = Walk(t, max(map(ORDERS.__getitem__, names)))
     values, direct, logs = [], None, None
     try:
         with np.errstate(all="ignore"):

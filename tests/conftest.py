@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,3 +107,15 @@ def fd2(fn, x: float, h: float) -> float:
     return (
         -fn(x - 2 * h) + 16 * fn(x - h) - 30 * fn(x) + 16 * fn(x + h) - fn(x + 2 * h)
     ) / (12 * h * h)
+
+
+def bench_inputs():
+    """bench/inputs.py as a module: the benchmark's profiles and points."""
+    name = "bench_inputs"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module  # dataclasses look their module up
+        spec.loader.exec_module(module)
+    return sys.modules[name]

@@ -3,6 +3,7 @@ RK45 on the geodesic equations with f..f''' from sympy, scipy's quad for
 psi, and the all-pairs self-intersection screen."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -317,7 +318,8 @@ class TestPsiAgainstQuad:
 
 class _Counted:
     """Counts the jets of a profile that take kcond: one float at a time
-    (calls) and over a grid (passes)."""
+    (calls) and over a grid (passes), through ``on_grid`` in every hartogs
+    module that binds it."""
 
     def __init__(self, profile, monkeypatch):
         self.calls = self.passes = 0
@@ -327,20 +329,37 @@ class _Counted:
             self.calls += "kcond" in names and not isinstance(t, np.ndarray)
             return values(t, *names)
 
-        profile.values = counted_values
-        grid = self._counted_grid(profile, hartogs.profile.on_grid)
-        monkeypatch.setattr(hartogs.profile, "on_grid", grid)
+        on_grid = hartogs.profile.on_grid
 
-    def _counted_grid(self, profile, on_grid):
-        def counted(p, ts, *names):
+        def counted_grid(p, ts, *names):
             self.passes += p is profile and "kcond" in names
             return on_grid(p, ts, *names)
-        return counted
+
+        profile.values = counted_values
+        for module in _binding_modules(on_grid):
+            monkeypatch.setattr(module, "on_grid", counted_grid)
+
+
+def _binding_modules(on_grid) -> list:
+    """The hartogs modules whose name on_grid is the given function."""
+    return [module for name, module in list(sys.modules.items())
+            if name.partition(".")[0] == "hartogs" and vars(module).get("on_grid") is on_grid]
 
 
 def _counted_kcond(source, b, monkeypatch):
     p = parse_profile(source, b, 2)
     return p, _Counted(p, monkeypatch)
+
+
+class TestCounted:
+    def test_counts_the_ladder_pass_of_completeness(self, monkeypatch):
+        # hyperbolic binds on_grid by name: its ladder pass, then psi's table
+        on_grid = hartogs.profile.on_grid
+        assert hartogs.hyperbolic in _binding_modules(on_grid)
+        p, kcond = _counted_kcond("(1 + t)^(-2)", math.inf, monkeypatch)
+        assert _binding_modules(on_grid) == []
+        completeness(p)
+        assert kcond.passes == 2
 
 
 class TestPsiTable:
@@ -376,8 +395,6 @@ class TestPsiTable:
         # the ladder, then the table laid to the last rung u = 2^16, which is
         # its last break: psi there is the table's value, walked no further
         p, kcond = _counted_kcond("(1 + t)^(-2)", math.inf, monkeypatch)
-        ladder = kcond._counted_grid(p, hartogs.hyperbolic.on_grid)
-        monkeypatch.setattr(hartogs.hyperbolic, "on_grid", ladder)
         report = completeness(p)
         assert report.verdict == VERDICT_INCOMPLETE
         assert kcond.passes == 2

@@ -2,9 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
+import hartogs.metric
 from hartogs import (
+    SlicePoint,
     beltrami_klein,
     classify_profile,
     einstein_check,
@@ -21,8 +24,9 @@ from hartogs.curvature import (
     FAMILY_SPRING,
     brioschi_curvature,
 )
+from hartogs.metric import SliceMetricJet, normalized_slice_jet_values
 
-from conftest import FAMILY_MAKERS, FAST_DECAY, fd1, fd2, random_slice_points
+from conftest import FAMILY_MAKERS, FAST_DECAY, bench_inputs, fd1, fd2, random_slice_points
 
 
 class TestSliceCurvature:
@@ -54,6 +58,33 @@ class TestSliceCurvature:
                 lambda s1: fd1(lambda s2: beltrami_klein(x + s1, y + s2).g12, 0, h), 0, h
             )
             assert brioschi_curvature(jet) == pytest.approx(-0.5, abs=1e-6)
+
+
+class TestSliceCurvaturePath:
+    """K is read off the jet entries as floats, without the record, and
+    equals Brioschi's formula on the record to the bit."""
+
+    def test_equals_brioschi_of_the_record(self, battery):
+        rng = np.random.default_rng(20261020)
+        points = [(f.profile, sp) for f in battery for sp in random_slice_points(f, 20, rng)]
+        for case in bench_inputs().DossierInputs(7).next_pass(0):
+            p = parse_profile(case.source, case.b, 2)
+            points += [(p, SlicePoint(u, v)) for u, v in case.points]
+        for p, sp in points:
+            k = gauss_curvature_slice(p, sp)
+            record = SliceMetricJet(*normalized_slice_jet_values(p, sp)[0])
+            assert k.hex() == brioschi_curvature(record).hex(), sp
+
+    def test_builds_no_record(self, battery, monkeypatch):
+        rng = np.random.default_rng(20261021)
+
+        def no_record(*entries):
+            raise AssertionError("a SliceMetricJet was built")
+
+        monkeypatch.setattr(hartogs.metric, "SliceMetricJet", no_record)
+        for family in battery:
+            for sp in random_slice_points(family, 4, rng):
+                assert abs(gauss_curvature_slice(family.profile, sp) + 0.5) < 1e-6
 
 
 class TestBaseCurvature:
@@ -148,6 +179,12 @@ class TestEinstein:
 
     def test_power_not_einstein(self):
         assert not einstein_check(parse_profile("(1 + t)^(-3)", math.inf, 2)).is_einstein
+
+    @pytest.mark.parametrize("report", [einstein_check, classify_profile])
+    @pytest.mark.parametrize("source, f0", [("1e300*1e300 - t", "inf"), ("t - 1", "-1.0")])
+    def test_reports_need_f0_positive_and_finite(self, report, source, f0):
+        with pytest.raises(ArithmeticError, match=rf"^f\(0\) = {f0}; "):
+            report(parse_profile(source, 1.0, 2))
 
     def test_equivalent_to_hyperbolic_classification(self, battery):
         profiles = [f.profile for f in battery]

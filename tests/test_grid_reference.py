@@ -18,11 +18,9 @@ variation.
 """
 
 import functools
-import importlib.util
 import math
 import sys
 from dataclasses import fields
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,18 +42,15 @@ from hartogs.curvature import (
 from hartogs.expressions import ExpressionEvalError
 from hartogs.profile import ValidationReport, chebyshev_grid
 
+from conftest import bench_inputs
+
 sympy = pytest.importorskip("sympy")
 mpmath = pytest.importorskip("mpmath")
 
 
 def _bench_cases() -> list[tuple[str, float]]:
     """One dossier pass of bench/inputs.py: two profiles of each family."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("bench_inputs", path)
-    inputs = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = inputs  # dataclasses look their module up
-    spec.loader.exec_module(inputs)
-    return [(case.source, case.b) for case in inputs.DossierInputs(8).next_pass(0)]
+    return [(case.source, case.b) for case in bench_inputs().DossierInputs(8).next_pass(0)]
 
 
 CASES = _bench_cases() + [
@@ -162,6 +157,8 @@ def _grid_values(source, profile, names, grid=64):
 
 def reference_einstein(source, profile, grid=64):
     _, rows = _grid_values(source, profile, ("f", "kcond"), grid)
+    if not 0.0 < rows["f"][0] < math.inf:
+        raise ArithmeticError(f"f(0) = {rows['f'][0]}; the reports need it positive and finite")
     values = [-f * f * k for f, k in zip(rows["f"], rows["kcond"])]
     mean = sum(values) / len(values)
     variation = max(abs(v - mean) for v in values) / abs(mean)

@@ -28,11 +28,20 @@ from hartogs.hyperbolic import (
     VERDICT_UNKNOWN,
     ProfileFamilyError,
     _classify_tail,
-    completeness_integrand,
 )
 from hartogs.expressions import ExpressionEvalError
+from hartogs.profile import kcond, not_pseudoconvex
 
 from conftest import FAST_DECAY, fd1, random_slice_points
+
+
+def completeness_integrand(profile, u: float) -> float:
+    """sqrt(-kcond(u^2)): the arc-length density of the u-axis, up to sqrt(2),
+    one point at a time."""
+    k = kcond(profile, u * u)
+    if -k < 0.0:
+        raise not_pseudoconvex(u * u)
+    return math.sqrt(-k)
 
 
 def _sqrt_log_density_integral() -> float:

@@ -20,9 +20,16 @@ from hartogs import (
     slice_metric,
     slice_metric_generic,
 )
-from hartogs.metric import riemannian_inner, slice_metric_jet
+from hartogs.metric import slice_metric_jet
 
 from conftest import fd1, fd2, random_slice_points
+
+
+def riemannian_inner(h: np.ndarray, x, y) -> float:
+    """Real inner product 2*Re(x^T h conj(y)) of real tangents in complex form."""
+    x = np.asarray(x, dtype=complex)
+    y = np.asarray(y, dtype=complex)
+    return float(2.0 * np.real(x @ h @ np.conj(y)))
 
 
 class TestPotential:
