@@ -1,12 +1,16 @@
 """Command-line interface: deterministic, seeded JSON/CSV reports.
 
 Exit codes: 0 pass, 1 property breach, 2 input error, 3 inconclusive.
-Every JSON report embeds the tool version, the merged configuration, the
-seed, and the wall time.  A JSON config file may supply any flag of its
-command, checked as the flag is; flags given on the command line win.
-Every command but ``validate`` first validates the profile with its
-defaults; a profile that fails exits 1 with the violation summary as its
-report, and writes no --out file.
+Every flag is declared once, in ``_SHARED`` or with its command in
+``_COMMANDS``.  A JSON config file may supply any flag of its command,
+under its name or its flag spelling, checked as the flag is; flags given
+on the command line win.  Every JSON report embeds the tool version, the
+merged configuration, the seed, and the wall time.  An input error, an
+--out file that cannot be written included, prints no report, only a
+message on stderr (an expression that does not parse gets an error
+report).  Every command but ``validate`` first validates the profile with
+its defaults; a profile that fails exits 1 with the violation summary as
+its report, and writes no --out file.
 """
 
 from __future__ import annotations
@@ -17,43 +21,22 @@ import json
 import math
 import sys
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import __version__
 from .connection import integrate_geodesic, reduce_to_slice, self_intersection_check
-from .curvature import classify_profile, einstein_check, gauss_curvature_slice
+from .curvature import REPORT_GRID, classify_profile, einstein_check, gauss_curvature_slice
 from .expressions import ExpressionSyntaxError
 from .hyperbolic import VERDICT_UNKNOWN, completeness
 from .metric import SlicePoint
-from .profile import Profile, parse_profile, validate
+from .profile import DEFAULT_GRID_SIZE, DEFAULT_T_MAX, Profile, parse_profile, validate
 
 EXIT_OK = 0
 EXIT_BREACH = 1
 EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Merged configuration of one command invocation."""
-
-    command: str
-    expression: str
-    b: float
-    n: int = 2
-    seed: int = 0
-    tol: float = 1e-6
-    out: str | None = None
-    format: str = "json"
-    options: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.tol > 0:  # nan too
-            raise ValueError("tolerance must be positive")
-        if self.format not in ("json", "csv"):
-            raise ValueError(f"format must be json or csv, got {self.format!r}")
 
 
 def _cast(kind, value, name: str):
@@ -88,86 +71,76 @@ def _jsonable(obj):
     return obj
 
 
-def _emit_report(config: RunConfig, started: float, **body) -> str:
+def _emit_report(config: dict, started: float, **body) -> str:
     """The JSON report; ``body`` is ``report=payload`` or ``error=details``."""
     report = {
         "tool": "hartogs",
         "version": __version__,
-        "command": config.command,
-        "config": _jsonable(asdict(config)),
-        "seed": config.seed,
+        "command": config["command"],
+        "config": _jsonable(config),
+        "seed": config["seed"],
         "wall_time_s": round(time.perf_counter() - started, 6),
         **_jsonable(body),
     }
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def _write_output(config: RunConfig, json_text: str, table):
-    """Print the report; write it, or ``table = (header, rows)`` as CSV, to --out."""
+def _write_output(config: dict, json_text: str, rows):
+    """Write the report, or its CSV ``rows``, to --out; then print the report."""
+    if config["out"] is not None:
+        with open(config["out"], "w", newline="") as handle:
+            if config["format"] == "json":
+                handle.write(json_text)
+            else:
+                writer = csv.writer(handle)
+                writer.writerow(_CSV_HEADERS[config["command"]])
+                writer.writerows([repr(float(x)) for x in row] for row in rows)
     sys.stdout.write(json_text)
-    if config.out is None:
-        return
-    if config.format == "json":
-        with open(config.out, "w") as handle:
-            handle.write(json_text)
-    else:
-        if table is None:
-            raise ValueError(f"command {config.command!r} has no CSV output")
-        header, rows = table
-        with open(config.out, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([repr(float(x)) for x in row])
 
 
 # ---------------------------------------------------------------------------
-# Commands: each returns (payload, exit code, CSV table or None)
+# Commands: each takes the profile, the config and the command's options,
+# and returns (payload, exit code, CSV rows or None)
 
-def _cmd_validate(profile: Profile, config: RunConfig):
-    report = validate(
-        profile,
-        grid_size=config.options["grid"],
-        t_max=config.options["t_max"],
-        enforce_monotone=not config.options["allow_increasing"],
-    )
+def _cmd_validate(profile: Profile, config: dict, grid, t_max, allow_increasing):
+    report = validate(profile, grid_size=grid, t_max=t_max,
+                      enforce_monotone=not allow_increasing)
     return asdict(report), (EXIT_OK if report.valid else EXIT_BREACH), None
 
 
-def _cmd_curvature(profile: Profile, config: RunConfig):
-    if config.options["points"] < 1:
+def _cmd_curvature(profile: Profile, config: dict, points, u_max):
+    if points < 1:
         raise ValueError("points must be at least 1")
-    u_max = config.options["u_max"]
     if u_max is None:
         u_max = 0.95 * math.sqrt(profile.b) if math.isfinite(profile.b) else 2.0
     # the window may reach the rim, sqrt(b), but neither pass it nor be infinite
     if not 0.0 <= u_max < math.inf or u_max * u_max > profile.b:  # nan too
         raise ValueError(f"u_max must satisfy 0 <= u_max < inf and u_max^2 <= b, "
                          f"got u_max={u_max} with b={profile.b}")
-    rng = np.random.default_rng(config.seed)
-    points = []
-    for _ in range(config.options["points"]):
+    rng = np.random.default_rng(config["seed"])
+    samples = []
+    for _ in range(points):
         u = rng.uniform(-u_max, u_max)
         v_cap = 0.92 * math.sqrt(profile.f(u * u))
-        points.append(SlicePoint(u, rng.uniform(-v_cap, v_cap)))
-    rows = [(sp.u, sp.v, gauss_curvature_slice(profile, sp)) for sp in points]
+        samples.append(SlicePoint(u, rng.uniform(-v_cap, v_cap)))
+    rows = [(sp.u, sp.v, gauss_curvature_slice(profile, sp)) for sp in samples]
     worst = float(np.max([abs(k + 0.5) for _, _, k in rows]))  # nan if any K is
     payload = {
         "target": -0.5,
         "max_deviation_from_minus_half": worst,
-        "tolerance": config.tol,
+        "tolerance": config["tol"],
         "samples": [{"u": u, "v": v, "K": k} for u, v, k in rows],
         "u_max": u_max,
     }
     if math.isnan(worst):
         code = EXIT_INCONCLUSIVE
     else:
-        code = EXIT_OK if worst < config.tol else EXIT_BREACH
-    return payload, code, (("u", "v", "K"), rows)
+        code = EXIT_OK if worst < config["tol"] else EXIT_BREACH
+    return payload, code, rows
 
 
-def _cmd_geodesic(profile: Profile, config: RunConfig):
-    components = [complex(part.strip()) for part in config.options["direction"].split(",")]
+def _cmd_geodesic(profile: Profile, config: dict, direction, length, start, guard):
+    components = [complex(part.strip()) for part in direction.split(",")]
     reduction = None
     if len(components) == 2 and all(w.imag == 0.0 for w in components):
         slice_dir = [w.real for w in components]
@@ -178,13 +151,11 @@ def _cmd_geodesic(profile: Profile, config: RunConfig):
                 f"or {profile.n} complex"
             )
         slice_dir, reduction = reduce_to_slice(components)
-    start_u, start_v = (float(x.strip()) for x in config.options["start"].split(","))
-    trace = integrate_geodesic(
-        profile, SlicePoint(start_u, start_v), slice_dir, config.options["length"]
-    )
+    start_u, start_v = (float(x.strip()) for x in start.split(","))
+    trace = integrate_geodesic(profile, SlicePoint(start_u, start_v), slice_dir, length)
     # screened in the chord's chart, which float64 does not collapse near the rim
     chart = replace(trace, points=trace.chart)
-    screen = self_intersection_check(chart, guard=config.options["guard"])
+    screen = self_intersection_check(chart, guard=guard)
     drift = float(np.max(np.abs(trace.energies - trace.energy)) / trace.energy)
     payload = {
         "samples": len(trace),
@@ -202,21 +173,20 @@ def _cmd_geodesic(profile: Profile, config: RunConfig):
     }
     rows = np.column_stack((trace.s, trace.points, trace.tangents, trace.energies))
     code = EXIT_OK if screen.passed else EXIT_BREACH
-    return payload, code, (("s", "u", "v", "du", "dv", "energy"), rows)
+    return payload, code, rows
 
 
-def _cmd_completeness(profile: Profile, config: RunConfig):
+def _cmd_completeness(profile: Profile, config: dict):
     report = completeness(profile)
     code = EXIT_INCONCLUSIVE if report.verdict == VERDICT_UNKNOWN else EXIT_OK
     return asdict(report), code, None
 
 
-def _cmd_einstein(profile: Profile, config: RunConfig):
-    return asdict(einstein_check(profile, grid=config.options["grid"])), EXIT_OK, None
+def _cmd_einstein(profile: Profile, config: dict, grid):
+    return asdict(einstein_check(profile, grid=grid)), EXIT_OK, None
 
 
-def _cmd_classify(profile: Profile, config: RunConfig):
-    grid = config.options["grid"]
+def _cmd_classify(profile: Profile, config: dict, grid):
     result = classify_profile(profile, grid=grid)
     comp = completeness(profile)
     einstein = einstein_check(profile, grid=grid)
@@ -231,15 +201,25 @@ def _cmd_classify(profile: Profile, config: RunConfig):
     return payload, code, None
 
 
-# Each command: its runner and its options, name -> (flag, type, default,
-# help).  A bool option is a bare flag that sets True.  Every option given
-# reaches the runner cast through its type; null is only the value of an
-# option whose default is null.
-_GRID = ("--grid", int, 64, "evaluation grid size")
+# Every flag, name -> (flag, type, default, help): the shared ones here,
+# each command's own with its runner in _COMMANDS.  A bool option is a bare
+# flag that sets True.  Every value given reaches the runner cast through
+# its type; null is only the value of a flag whose default is null, and
+# the expression and the bound, whose default is null, must be given.
+_SHARED = {
+    "expression": ("--F", str, None, "profile expression in t"),
+    "b": ("--b", float, None, "domain bound (positive real or 'inf')"),
+    "n": ("--n", int, 2, "complex dimension"),
+    "seed": ("--seed", int, 0, "RNG seed"),
+    "tol": ("--tol", float, 1e-6, "pass/fail tolerance (positive)"),
+    "out": ("--out", str, None, "output file path"),
+    "format": ("--format", str, "json", "output file format: json, or csv"),
+}
+_GRID = ("--grid", int, REPORT_GRID, "evaluation grid size")
 _COMMANDS = {
     "validate": (_cmd_validate, {
-        "grid": ("--grid", int, 1024, "validation grid size"),
-        "t_max": ("--t-max", float, 50.0, "sampling cap when b is infinite"),
+        "grid": ("--grid", int, DEFAULT_GRID_SIZE, "validation grid size"),
+        "t_max": ("--t-max", float, DEFAULT_T_MAX, "sampling cap when b is infinite"),
         "allow_increasing": ("--allow-increasing", bool, False, "do not require f' <= 0"),
     }),
     "curvature": (_cmd_curvature, {
@@ -257,6 +237,12 @@ _COMMANDS = {
     "einstein": (_cmd_einstein, {"grid": _GRID}),
     "classify": (_cmd_classify, {"grid": _GRID}),
 }
+# The commands that write --format csv, and its columns; for any other,
+# --format csv with --out is an input error.
+_CSV_HEADERS = {
+    "curvature": ("u", "v", "K"),
+    "geodesic": ("s", "u", "v", "du", "dv", "energy"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,62 +253,52 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, options) in _COMMANDS.items():
         cmd = sub.add_parser(name)
-        cmd.add_argument("--F", dest="expression", help="profile expression in t")
-        cmd.add_argument("--b", dest="b", help="domain bound (positive real or 'inf')")
-        cmd.add_argument("--n", dest="n", type=int, help="complex dimension (default 2)")
-        cmd.add_argument("--seed", type=int, help="RNG seed (default 0)")
-        cmd.add_argument("--tol", type=float, help="pass/fail tolerance")
-        cmd.add_argument("--out", help="output file path")
-        cmd.add_argument("--format", choices=("json", "csv"), help="output file format")
         cmd.add_argument("--config", help="JSON config file; flags win on conflict")
-        for dest, (flag, kind, _default, text) in options.items():
+        for dest, (flag, kind, default, text) in (_SHARED | options).items():
             if kind is bool:
                 cmd.add_argument(flag, dest=dest, action="store_const", const=True, help=text)
             else:
+                text = text if default is None else f"{text} (default {default})"
                 cmd.add_argument(flag, dest=dest, type=kind, help=text)
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> RunConfig:
+def _merge_config(args: argparse.Namespace) -> dict:
+    """The report's config: the command, the shared flags and the command's
+    options, each from the command line, else the config file, else its
+    default, cast through its type and checked before any work."""
     command = args.command
-    options = _COMMANDS[command][1]
-    merged = {f.name: f.default for f in fields(RunConfig) if f.default is not MISSING}
-    merged.update({name: default for name, (_, _, default, _) in options.items()})
-    # a config file may use flag spellings, as in {"F": ..., "t-max": ..., "dir": ...}
-    aliases = {"F": "expression"} | {
-        flag[2:].replace("-", "_"): name for name, (flag, *_) in options.items()}
+    flags = _SHARED | _COMMANDS[command][1]
+    merged = {name: default for name, (_, _, default, _) in flags.items()}
+    # a config file may use names or flag spellings, as in {"F": ..., "t-max": ..., "dir": ...}
+    names = {key: name for name, (flag, *_) in flags.items()
+             for key in (name, flag[2:].replace("-", "_"))}
     if args.config:
         with open(args.config) as handle:
             file_config = json.load(handle)
         if not isinstance(file_config, dict):
             raise ValueError("config file must contain a JSON object")
         for key, value in file_config.items():
-            name = key.replace("-", "_")
-            name = aliases.get(name, name)
-            if name not in merged and name not in ("expression", "b"):
+            if (name := names.get(key.replace("-", "_"))) is None:
                 raise ValueError(f"config key {key!r} is not an option of {command}")
             merged[name] = value
-    for key, value in vars(args).items():
-        if key in ("command", "config") or value is None:
-            continue
-        merged[key] = value
-    for name, (_, kind, default, _) in options.items():
+    for name, (_, kind, default, _) in flags.items():
+        if (value := getattr(args, name)) is not None:
+            merged[name] = value
         if default is not None or merged[name] is not None:
             merged[name] = _cast(kind, merged[name], name)
-    if merged.get("expression") is None:
+    if merged["expression"] is None:
         raise ValueError("profile expression is required (--F or config file)")
-    if merged.get("b") is None:
+    if merged["b"] is None:
         raise ValueError("domain bound is required (--b or config file)")
-    common = {
-        "expression": str(merged.pop("expression")),
-        "b": float(str(merged.pop("b"))),
-        "n": _cast(int, merged.pop("n"), "n"),
-        "seed": _cast(int, merged.pop("seed"), "seed"),
-        "tol": _cast(float, merged.pop("tol"), "tol"),
-        "out": None if (out := merged.pop("out")) is None else _cast(str, out, "out"),
-        "format": str(merged.pop("format")),
-    }
-    return RunConfig(command=command, options=merged, **common)
+    if not merged["tol"] > 0:  # nan too
+        raise ValueError("tolerance must be positive")
+    if merged["format"] not in ("json", "csv"):
+        raise ValueError(f"format must be json or csv, got {merged['format']!r}")
+    if merged["format"] == "csv" and merged["out"] is not None and command not in _CSV_HEADERS:
+        raise ValueError(f"command {command!r} has no CSV output")
+    shared = {name: merged.pop(name) for name in _SHARED}
+    return {"command": command, **shared, "options": merged}
 
 
 def main(argv=None) -> int:
@@ -330,13 +306,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _merge_config(args)
-        profile = parse_profile(config.expression, config.b, config.n)
-        if config.command != "validate" and not (gate := validate(profile)).valid:
+        profile = parse_profile(config["expression"], config["b"], config["n"])
+        if config["command"] != "validate" and not (gate := validate(profile)).valid:
             breach = {"valid": False, "violations": gate.violation_summary()}
             sys.stdout.write(_emit_report(config, started, report=breach))
             return EXIT_BREACH
-        payload, code, table = _COMMANDS[config.command][0](profile, config)
-        _write_output(config, _emit_report(config, started, report=payload), table)
+        runner = _COMMANDS[config["command"]][0]
+        payload, code, rows = runner(profile, config, **config["options"])
+        _write_output(config, _emit_report(config, started, report=payload), rows)
     except ExpressionSyntaxError as exc:
         error = {"message": str(exc), "position": exc.position}
         sys.stdout.write(_emit_report(config, started, error=error))

@@ -41,6 +41,8 @@ CONSTANCY_TOL = 1e-8
 FIT_TOL = 1e-6
 # Straight-line residual below this (relative to its term sizes) is zero.
 RESIDUAL_TOL = 1e-9
+# Points of the Chebyshev grid the two reports read by default.
+REPORT_GRID = 64
 
 
 def brioschi_curvature(jet) -> float:
@@ -118,8 +120,6 @@ def _report_grid(profile: Profile, grid: int, *names: str):
     f..f3 divided by f(0) in the last.  The first name is "f"; raises
     ArithmeticError unless 0 < f(0) < inf.  Called under
     np.errstate(all="ignore")."""
-    if grid < 2:
-        raise ValueError("grid must have at least 2 points")
     ts, rows = profile.report_jet(grid)
     values = [rows[name] for name in names]
     at_0 = [x.item(0) for x in values]
@@ -129,7 +129,7 @@ def _report_grid(profile: Profile, grid: int, *names: str):
     return ts, at_0, [x / f0 if name[0] == "f" else x for name, x in zip(names, values)]
 
 
-def einstein_check(profile: Profile, grid: int = 64) -> EinsteinReport:
+def einstein_check(profile: Profile, grid: int = REPORT_GRID) -> EinsteinReport:
     """Test constancy of the determinant invariant J / f(0)^2 on a grid."""
     with np.errstate(all="ignore"):  # inf and nan pass on, as in float arithmetic
         _, (f0, _), (g, k) = _report_grid(profile, grid, "f", "kcond")
@@ -158,7 +158,7 @@ def _relative_fit_residual(f: np.ndarray, fitted: np.ndarray) -> float:
     return _max(np.abs(f - fitted) / (np.abs(f) + 1e-300))
 
 
-def classify_profile(profile: Profile, grid: int = 64) -> ClassificationResult:
+def classify_profile(profile: Profile, grid: int = REPORT_GRID) -> ClassificationResult:
     """Decide which family the profile belongs to.
 
     Order matters: linear profiles also have constant base curvature, so

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import hartogs
-from hartogs.cli import _COMMANDS, EXIT_BREACH, EXIT_INCONCLUSIVE, EXIT_INPUT, EXIT_OK, main
+from hartogs.cli import _COMMANDS, _SHARED, EXIT_BREACH, EXIT_INCONCLUSIVE, EXIT_INPUT, EXIT_OK, main
 from hartogs.curvature import ClassificationResult, EinsteinReport
 from hartogs.hyperbolic import CompletenessReport
 from hartogs.profile import ValidationReport
@@ -400,7 +400,33 @@ class TestOptionChecks:
         out = tmp_path / "x.out"
         config.write_text(json.dumps({"F": "1 - t", "b": 1, "format": "xml", "out": str(out)}))
         assert main(["geodesic", "--config", str(config)]) == EXIT_INPUT
+        from_file = capsys.readouterr()
+        assert main(["geodesic", "--F", "1 - t", "--b", "1", "--format", "xml",
+                     "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr() == from_file
+        assert from_file.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, out, extra", [
+        *((command, "x.csv", ["--format", "csv"])  # no CSV output
+          for command in ("validate", "completeness", "einstein", "classify")),
+        ("validate", "missing/x.json", []),  # cannot be opened
+        ("curvature", "missing/x.csv", ["--format", "csv"]),
+    ])
+    def test_input_error_prints_no_report(self, capsys, tmp_path, command, out, extra):
+        argv = [command, "--F", "1 - t", "--b", "1", "--out", str(tmp_path / out), *extra]
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert not any(tmp_path.rglob("x.*"))
+
+    def test_grid_commands_word_a_short_grid_alike(self, capsys):
+        errors = set()
+        for command in ("validate", "einstein", "classify"):
+            assert main([command, "--F", "1 - t", "--b", "1", "--grid", "1"]) == EXIT_INPUT
+            errors.add(capsys.readouterr().err)
+        assert errors == {"error: grid size must be at least 2\n"}
 
     @pytest.mark.parametrize("command, key", [("geodesic", "lenght"), ("validate", "dir"),
                                               ("completeness", "grid")])
@@ -537,9 +563,23 @@ class TestCommandTable:
             assert code == EXIT_OK, argv
             assert report["config"]["options"] == expected
 
+    def test_every_shared_flag_is_accepted(self, capsys, tmp_path):
+        given = {"expression": "1 - t", "b": 0.5, "n": 3, "seed": 7, "tol": 0.001,
+                 "out": str(tmp_path / "x.json"), "format": "json"}
+        assert set(given) == set(_SHARED)
+        flags = [arg for name, (flag, *_) in _SHARED.items() for arg in (flag, str(given[name]))]
+        config = tmp_path / "run.json"
+        config.write_text(
+            json.dumps({flag.lstrip("-"): given[name] for name, (flag, *_) in _SHARED.items()}))
+        for argv in (flags, ["--config", str(config)]):
+            code, report = run_json(capsys, "completeness", *argv)
+            assert code == EXIT_OK, argv
+            assert report["config"] == {"command": "completeness", **given, "options": {}}
+            assert json.loads((tmp_path / "x.json").read_text())["config"] == report["config"]
+
     @pytest.mark.parametrize("command, name", [
         (command, name) for command, (_, options) in sorted(_COMMANDS.items())
-        for name, (_, _, default, _) in options.items() if default is not None] + [
+        for name, (_, _, default, _) in (_SHARED | options).items() if default is not None] + [
         ("geodesic", "out")])
     def test_null_or_misshapen_option_is_input_error(self, capsys, tmp_path, command, name):
         config = tmp_path / "run.json"

@@ -32,6 +32,23 @@ def riemannian_inner(h: np.ndarray, x, y) -> float:
     return float(2.0 * np.real(x @ h @ np.conj(y)))
 
 
+HESSIAN_STEP = 1e-4
+
+
+def hessian_points(family, count: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Real coordinates (Re z0, Im z0, Re z1, Im z1) of points inside D_F by
+    construction: |z0| within the family's u window, |z1| at most 0.7 *
+    sqrt(f(|z0|^2)), at random phases."""
+    points = []
+    for _ in range(count):
+        r0 = rng.uniform(0.0, family.u_window)
+        r1 = rng.uniform(0.0, 0.7) * math.sqrt(family.profile.f(r0 * r0))
+        a0, a1 = rng.uniform(0.0, 2.0 * math.pi, 2)
+        points.append(np.array([r0 * math.cos(a0), r0 * math.sin(a0),
+                                r1 * math.cos(a1), r1 * math.sin(a1)]))
+    return points
+
+
 class TestPotential:
     def test_origin(self):
         p = parse_profile("1 - t", 1, 2)
@@ -133,12 +150,12 @@ class TestHermitianMetric:
                 minor = np.linalg.det(h[:k, :k]).real
                 assert minor > 0
 
-    def test_against_finite_difference_hessian(self, battery, rng):
+    def test_against_finite_difference_hessian(self, battery):
         # h_ij = (d_ai d_aj + d_bi d_bj + i(d_ai d_bj - d_bi d_aj)) Phi / 4
+        rng = np.random.default_rng(20240518)
         for family in battery:
             p = family.profile
-            for sp in random_slice_points(family, 10, rng, v_frac=0.7):
-                coords = np.array([sp.u, 0.1 * sp.v, sp.v, 0.05 * sp.u])
+            for coords in hessian_points(family, 10, rng):
 
                 def phi(c):
                     return potential(p, DomainPoint(complex(c[0], c[1]), (complex(c[2], c[3]),)))
@@ -146,7 +163,7 @@ class TestHermitianMetric:
                 h = hermitian_metric(
                     p, DomainPoint(complex(coords[0], coords[1]), (complex(coords[2], coords[3]),))
                 )
-                step = 1e-4
+                step = HESSIAN_STEP
                 for i in range(2):
                     for j in range(2):
                         ai, bi = 2 * i, 2 * i + 1
@@ -178,6 +195,17 @@ class TestHermitianMetric:
                             i,
                             j,
                         )
+
+    def test_hessian_points_keep_their_stencil_inside(self, battery):
+        # the stencil moves each coordinate by at most 2 * HESSIAN_STEP; with
+        # f decreasing, its worst corner moves every coordinate outward
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            for family in battery:
+                for coords in hessian_points(family, 10, rng):
+                    c = coords + np.copysign(2 * HESSIAN_STEP, coords)
+                    potential(family.profile,
+                              DomainPoint(complex(c[0], c[1]), (complex(c[2], c[3]),)))
 
     def test_dimension_mismatch(self):
         p = parse_profile("1 - t", 1, 3)
