@@ -40,11 +40,21 @@ EXIT_INCONCLUSIVE = 3
 
 
 def _cast(kind, value, name: str):
-    """value as kind; null, or a value of the wrong shape, is an input error."""
-    if value is not None and (kind is not str or isinstance(value, str)):
+    """value as kind; null, or a value of the wrong shape, is an input error.
+
+    A str takes only a string, a bool only true or false; an int or a float
+    takes a number or a string that parses as one, but not a bool, and an
+    int takes no number with a fraction."""
+    if kind in (str, bool):
+        ok = isinstance(value, kind)
+    else:
+        ok = value is not None and not isinstance(value, bool)
+        if kind is int and isinstance(value, float):
+            ok = value.is_integer()
+    if ok:
         try:
             return kind(value)
-        except TypeError:
+        except (TypeError, ValueError):
             pass
     raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
 

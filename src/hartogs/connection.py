@@ -4,9 +4,13 @@ residuals that detect the complex-hyperbolic profiles.
 
 Two independent routes to the Christoffel symbols are kept side by side:
 ``christoffel_closed`` evaluates explicit rational formulas in f..f3, and
-``christoffel_generic`` applies the standard metric-derivative formula to
-the analytic slice-metric jet.  The generic route is the ground truth the
-closed forms are validated against.
+``christoffel_generic`` applies the Levi-Civita formula
+
+    Gamma^k_ij = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij)
+
+to the analytic slice-metric jet, as one contraction of the inverse
+metric with the (2, 2, 2) array of first derivatives.  The generic route
+is the ground truth the closed forms are validated against.
 """
 
 from __future__ import annotations
@@ -85,25 +89,11 @@ def christoffel_generic(profile: Profile, sp: SlicePoint) -> ChristoffelSlice:
     if not det > 0.0:
         raise DegenerateMetricError(f"metric degenerate at {sp}, det={det}")
     ginv = np.array([[jet.g22, -jet.g12], [-jet.g12, jet.g11]]) / det
-    dg = np.empty((2, 2, 2))  # dg[l][i][j] = d g_ij / d x_l
-    dg[0] = [[jet.g11_u, jet.g12_u], [jet.g12_u, jet.g22_u]]
-    dg[1] = [[jet.g11_v, jet.g12_v], [jet.g12_v, jet.g22_v]]
-    gamma = np.zeros((2, 2, 2))
-    for k in range(2):
-        for i in range(2):
-            for j in range(2):
-                total = 0.0
-                for l in range(2):
-                    total += ginv[k, l] * (dg[i][j, l] + dg[j][i, l] - dg[l][i, j])
-                gamma[k, i, j] = 0.5 * total
-    return ChristoffelSlice(
-        gamma[0, 0, 0],
-        gamma[1, 0, 0],
-        gamma[0, 0, 1],
-        gamma[1, 0, 1],
-        gamma[0, 1, 1],
-        gamma[1, 1, 1],
-    )
+    dg = np.array([[[jet.g11_u, jet.g12_u], [jet.g12_u, jet.g22_u]],  # dg[l, i, j] = d_l g_ij
+                   [[jet.g11_v, jet.g12_v], [jet.g12_v, jet.g22_v]]])
+    # gamma[k, i, j] = 1/2 g^kl (dg[i, j, l] + dg[j, i, l] - dg[l, i, j])
+    gamma = 0.5 * np.einsum("kl,ijl->kij", ginv, dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0))
+    return ChristoffelSlice(*(gamma[k, i, j] for i, j in ((0, 0), (0, 1), (1, 1)) for k in (0, 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,7 @@ def _brioschi(g11, g12, g22, g11_u, g11_v, g12_u, g12_v, g22_u, g22_v, g11_vv, g
 
 def gauss_curvature_slice(profile: Profile, sp: SlicePoint) -> float:
     """Gaussian curvature of the slice at (u, v), from the jet entries of
-    its normalized image."""
+    its normalized image; ArithmeticError where kcond(u^2) is not negative."""
     return _brioschi(*normalized_slice_jet_values(profile, sp)[0])
 
 
@@ -161,8 +161,10 @@ def _relative_fit_residual(f: np.ndarray, fitted: np.ndarray) -> float:
 def classify_profile(profile: Profile, grid: int = REPORT_GRID) -> ClassificationResult:
     """Decide which family the profile belongs to.
 
-    Order matters: linear profiles also have constant base curvature, so
-    the straight-line residual test runs first; a flat base then identifies
+    A grid point where kcond is not negative raises ArithmeticError first,
+    whichever family the values would fit.  Then order matters: linear
+    profiles also have constant base curvature, so the straight-line
+    residual test runs first; a flat base then identifies
     the exponential family, a nonzero constant base curvature the power
     families, anything else is generic.  A candidate family is only
     accepted when the reconstructed profile matches on the grid.
@@ -170,6 +172,9 @@ def classify_profile(profile: Profile, grid: int = REPORT_GRID) -> Classificatio
     with np.errstate(all="ignore"):  # inf and nan pass on, as in float arithmetic
         ts, (f0, f1_0, *_), (g, g1, g2, g3, k_grid, *k_derivatives) = _report_grid(
             profile, grid, "f", "f1", "f2", "f3", "kcond", "kcond1", "kcond2")
+        bad = np.flatnonzero(k_grid >= 0.0)
+        if bad.size:  # raise what gauss_curvature_base raises at the first bad point
+            gauss_curvature_base(profile, float(ts[bad[0]]))
         g1_0 = g1.item(0)  # ts[0] = 0, where g = 1
         residual_max = _max(np.abs(residual_terms(ts, g, g1, g2, g3)))
         tt, abs_g2, abs_g3 = ts * ts, np.abs(g2), np.abs(g3)
@@ -184,9 +189,6 @@ def classify_profile(profile: Profile, grid: int = REPORT_GRID) -> Classificatio
                     FAMILY_HYPERBOLIC, {"c1": f0, "c2": -f1_0}, fit, None
                 )
 
-        bad = np.flatnonzero(k_grid >= 0.0)
-        if bad.size:  # raise what gauss_curvature_base raises at the first bad point
-            gauss_curvature_base(profile, float(ts[bad[0]]))
         curvatures = _base_curvature(ts, k_grid, *k_derivatives)
         k_mean = float(curvatures.mean())
         spread = _max(np.abs(curvatures - k_mean))

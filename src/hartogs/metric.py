@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .profile import F_FLOOR, GAP_REL, Profile
+from .profile import F_FLOOR, GAP_REL, Profile, not_pseudoconvex
 
 
 class OutsideDomainError(ValueError):
@@ -136,23 +136,22 @@ def hermitian_metric(profile: Profile, point: DomainPoint) -> np.ndarray:
         h[0][j] = -f1 conj(z0) z_j / g^2          (j >= 1)
         h[i][j] = delta_ij / g + conj(z_i) z_j / g^2
 
-    Hermitian and positive-definite at interior points of a valid profile.
+    So off [0][0], h[i][j] = delta_ij / g + conj(w_i) w_j / g^2 with
+    w = (-f1 z0, z), whose products are formed from real parts, so that h
+    is exactly Hermitian.  Positive-definite at interior points of a valid
+    profile.
     """
     if point.n != profile.n:
         raise ValueError(f"point has {point.n} coordinates, profile expects {profile.n}")
     gap, (_, f1, f2) = domain_values(profile, point, "f1", "f2")
     x = abs(point.z0) ** 2
     n = profile.n
-    h = np.empty((n, n), dtype=complex)
+    w = np.array((-f1 * point.z0, *point.z), dtype=complex)
     gap2 = gap * gap
+    h = np.empty((n, n), dtype=complex)
+    h.real = (np.outer(w.real, w.real) + np.outer(w.imag, w.imag)) / gap2 + np.eye(n) / gap
+    h.imag = (np.outer(w.real, w.imag) - np.outer(w.imag, w.real)) / gap2
     h[0, 0] = -(f1 + x * f2) / gap + f1 * f1 * x / gap2
-    z0_bar = point.z0.conjugate()
-    for j, zj in enumerate(point.z, start=1):
-        h[0, j] = -f1 * z0_bar * zj / gap2
-        h[j, 0] = h[0, j].conjugate()
-    for i, zi in enumerate(point.z, start=1):
-        for j, zj in enumerate(point.z, start=1):
-            h[i, j] = (1.0 if i == j else 0.0) / gap + zi.conjugate() * zj / gap2
     return h
 
 
@@ -224,8 +223,11 @@ def normalized_slice_jet_values(profile: Profile, sp: SlicePoint) -> tuple[tuple
     the field order of SliceMetricJet, and a = 1/sqrt(f(u^2)); (u, a*v) is
     the image of sp on the profile F / f(u^2), where f = 1 and the gap is
     (f - v^2) / f.  The image is isometric to sp, so K may be read off
-    these entries directly."""
-    w, (f, f1, f2, f3) = slice_values(profile, sp, "f1", "f2", "f3")
+    these entries directly.  As det g * (f - v^2)^3 = -4 f^2 kcond, a point
+    where kcond is not negative raises ArithmeticError naming its t."""
+    w, (f, f1, f2, f3, k) = slice_values(profile, sp, "f1", "f2", "f3", "kcond")
+    if not k < 0.0:
+        raise not_pseudoconvex(sp.u * sp.u)
     a = 1.0 / math.sqrt(f)
     u, v, t = sp.u, sp.v * a, sp.u * sp.u
     w, f1, f2, f3 = w / f, f1 / f, f2 / f, f3 / f

@@ -85,11 +85,13 @@ class Profile:
 
     ``b`` may be ``math.inf``.  ``n`` is the complex dimension of the
     associated domain (at least 2).  Every value comes from a jet of the
-    one parsed tree, which ``asts`` holds and ``kcond_ast`` is.  Two results
-    are kept, each built on first use: the psi table, and the reports' grid
-    jet, one entry per grid size (``report_jet``).  Both are pure functions
-    of the profile, so instances are safe to share across threads: two
-    threads may both build one, and either result is the same.
+    one parsed tree, ``asts[0]``, and the package reads nothing else of
+    ``asts`` or of ``kcond_ast``, the same tree: both are kept for the node
+    count of the benchmark (bench/workloads.py).  Two results are kept,
+    each built on first use: the psi table, and the reports' grid jet, one
+    entry per grid size (``report_jet``).  Both are pure functions of the
+    profile, so instances are safe to share across threads: two threads
+    may both build one, and either result is the same.
     """
 
     def __init__(self, ast: Expr, b: float, n: int, source: str | None = None):

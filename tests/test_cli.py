@@ -127,6 +127,15 @@ class TestCurvatureCommand:
         assert lines[0] == "u,v,K"
         assert len(lines) == 11
 
+    def test_sample_where_kcond_is_not_negative_is_input_error(self, capsys):
+        # kcond > 0 from t ~ 96 on, past the t <= 50 the validity gate samples
+        code = main(["curvature", "--F", "exp(-t) + exp(-100)", "--b", "inf", "--u-max", "12",
+                     "--points", "40"])
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: pseudoconvexity density positive at t=")
+
     def test_nan_curvature_is_inconclusive(self, capsys, monkeypatch):
         # max() would keep 0.0 against the nan and pass the run
         values = iter([-0.5, math.nan, -0.5])
@@ -271,6 +280,14 @@ class TestCompletenessCommand:
         assert code == EXIT_INCONCLUSIVE
         assert report["report"]["integral_value"] == "nan"
 
+    def test_finite_b_slope_between_the_bands_exits_3(self, capsys):
+        # the integrand grows like eps^-0.94 at the rim: neither band decides
+        code, report = run_json(capsys, "completeness", "--F", "exp((1 - t)^0.12)", "--b", "1")
+        assert code == EXIT_INCONCLUSIVE
+        payload = report["report"]
+        assert payload["verdict"] == "unknown"
+        assert payload["diagnostics"]["slopes"][-1] == pytest.approx(-0.94, abs=1e-3)
+
 
 class TestClassifyAndEinstein:
     def test_dossier(self, capsys):
@@ -352,6 +369,17 @@ class TestConfigAndDeterminism:
         )
         assert code == EXIT_OK
         assert report["config"]["expression"] == "1 - t"
+
+    @pytest.mark.parametrize("content, message", [
+        ("[1, 2]", "error: config file must contain a JSON object\n"),
+        ('{"b": 1}', "error: profile expression is required (--F or config file)\n"),
+    ])
+    def test_config_file_without_an_object_or_f_is_input_error(self, capsys, tmp_path,
+                                                               content, message):
+        config = tmp_path / "run.json"
+        config.write_text(content)
+        assert main(["validate", "--config", str(config)]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", message)
 
     def test_json_deterministic_modulo_wall_time(self, capsys):
         def strip_wall_time(text):
@@ -436,6 +464,34 @@ class TestOptionChecks:
         config.write_text(json.dumps({"F": "1 - t", "b": 1, key: 30}))
         assert main([command, "--config", str(config)]) == EXIT_INPUT
         assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key, value, kind", [
+        ("curvature", "points", True, "int"),  # not 1
+        ("curvature", "points", 2.7, "int"),  # not 2
+        ("curvature", "points", "2.7", "int"),
+        ("curvature", "b", True, "float"),  # not 1.0
+        ("validate", "allow_increasing", "false", "bool"),  # bool("false") is True
+        ("validate", "allow_increasing", 0, "bool"),
+    ])
+    def test_config_value_of_another_type_is_input_error(self, capsys, tmp_path, command, key,
+                                                         value, kind):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"F": "1 - t", "b": 1, key: value}))
+        assert main([command, "--config", str(config)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {key} must be a {kind}, got {value!r}\n"
+
+    @pytest.mark.parametrize("key, value, echoed", [("points", "40", 40), ("points", 4.0, 4),
+                                                    ("b", "inf", "inf")])
+    def test_config_number_of_a_castable_shape_is_cast(self, capsys, tmp_path, key, value,
+                                                       echoed):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"F": "exp(-t)", "b": 1, key: value}))
+        code, report = run_json(capsys, "curvature", "--config", str(config))
+        assert code == EXIT_OK
+        merged = report["config"] if key == "b" else report["config"]["options"]
+        assert repr(merged[key]) == repr(echoed)
 
     def test_option_of_the_wrong_shape_is_input_error(self, capsys, tmp_path):
         config = tmp_path / "run.json"

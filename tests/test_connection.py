@@ -18,7 +18,7 @@ from hartogs import (
     straightline_residual_algebraic,
 )
 from hartogs.connection import DegenerateMetricError, GeodesicTrace
-from hartogs.metric import DomainPoint, hermitian_metric
+from hartogs.metric import DomainPoint, hermitian_metric, slice_metric_jet
 
 from conftest import random_slice_points
 
@@ -66,6 +66,23 @@ class TestChristoffel:
                 scale = max(abs(x) for x in _symbols(generic))
                 for a, b in zip(_symbols(closed), _symbols(generic)):
                     assert abs(a - b) <= 1e-6 * max(1.0, scale), (family.name, sp)
+
+    def test_generic_equals_the_index_loop_exactly(self, battery, rng):
+        # the formula as a Python loop over l: the contraction rounds the
+        # same operations in the same order, so it must match exactly
+        for family in battery:
+            for sp in random_slice_points(family, 20, rng):
+                jet = slice_metric_jet(family.profile, sp)
+                ginv = np.array([[jet.g22, -jet.g12], [-jet.g12, jet.g11]]) / jet.det
+                dg = [[[jet.g11_u, jet.g12_u], [jet.g12_u, jet.g22_u]],
+                      [[jet.g11_v, jet.g12_v], [jet.g12_v, jet.g22_v]]]
+                gamma = {}
+                for k, i, j in ((0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)):
+                    total = 0.0
+                    for l in range(2):
+                        total += ginv[k, l] * (dg[i][j][l] + dg[j][i][l] - dg[l][i][j])
+                    gamma[k, i, j] = 0.5 * total
+                assert _symbols(christoffel_generic(family.profile, sp)) == list(gamma.values())
 
     def test_klein_radial_symbol(self):
         # on the axis of the ball slice the only surviving symbol is
@@ -177,6 +194,10 @@ class TestReduceToSlice:
         with pytest.raises(ValueError):
             reduce_to_slice([0.0, 0.0, 0.0])
 
+    def test_single_component_rejected(self):
+        with pytest.raises(ValueError, match="at least two complex components"):
+            reduce_to_slice([1j])
+
     def test_lift_point_round_trip(self, rng):
         for _ in range(20):
             w = rng.uniform(-1, 1, 6)
@@ -244,6 +265,14 @@ class TestSelfIntersection:
                     8.0,
                 )
                 assert self_intersection_check(trace).passed, family.name
+
+    def test_four_samples_have_no_pair_to_screen(self):
+        # three segments, each within SCREEN_WINDOW of the others
+        corner = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+        report = self_intersection_check(self._trace_from_points(corner))
+        assert report.passed
+        assert report.min_distance == math.inf
+        assert report.min_pair == (-1, -1)
 
     def test_short_trace_rejected(self):
         line = np.column_stack([np.linspace(0, 1, 3), np.zeros(3)])

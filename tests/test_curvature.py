@@ -24,7 +24,8 @@ from hartogs.curvature import (
     FAMILY_SPRING,
     brioschi_curvature,
 )
-from hartogs.metric import SliceMetricJet, normalized_slice_jet_values
+from hartogs.connection import christoffel_generic
+from hartogs.metric import SliceMetricJet, normalized_slice_jet_values, slice_metric_jet
 
 from conftest import FAMILY_MAKERS, FAST_DECAY, bench_inputs, fd1, fd2, random_slice_points
 
@@ -87,6 +88,23 @@ class TestSliceCurvaturePath:
                 assert abs(gauss_curvature_slice(family.profile, sp) + 0.5) < 1e-6
 
 
+class TestNotPseudoconvexSlice:
+    # det g * (f - v^2)^3 = -4 f^2 kcond, and kcond = 1/(1 + t)^2 > 0 on 1 + t
+    @pytest.mark.parametrize("read", [gauss_curvature_slice, slice_metric_jet,
+                                      christoffel_generic])
+    def test_point_where_kcond_is_positive_raises(self, read):
+        p = parse_profile("1 + t", 1.0, 2)
+        with pytest.raises(ArithmeticError,
+                           match=r"^pseudoconvexity density positive at t=0\.25; "):
+            read(p, SlicePoint(0.5, 0.1))
+
+    def test_point_where_kcond_is_zero_raises(self):
+        # 1 - t^2 has kcond(0) = 0: the metric is degenerate at u = 0
+        p = parse_profile("1 - t^2", 1.0, 2)
+        with pytest.raises(ArithmeticError, match=r"^pseudoconvexity density positive at t=0"):
+            gauss_curvature_slice(p, SlicePoint(0.0, 0.3))
+
+
 class TestBaseCurvature:
     def test_spring_flat(self, rng):
         for _ in range(3):
@@ -124,6 +142,12 @@ class TestBaseCurvature:
         p = parse_profile("1 - t", 1, 2)
         with pytest.raises(ValueError):
             gauss_curvature_base(p, 1.0)
+
+    def test_non_pseudoconvex_point_raises(self):
+        # kcond > 0 from t ~ 10 on, where f levels off at exp(-10)
+        p = parse_profile("exp(-t) + exp(-10)", math.inf, 2)
+        with pytest.raises(ArithmeticError, match=r"^base metric degenerate at x=20\.0 "):
+            gauss_curvature_base(p, 20.0)
 
 
 class TestMongeAmpere:
@@ -249,6 +273,11 @@ class TestClassification:
         # (c1 - c2 t)^1 is linear; classification order resolves the overlap
         r = classify_profile(parse_profile("(1.5 - 0.5*t)^1", 3.0, 2))
         assert r.family == FAMILY_HYPERBOLIC
+
+    def test_kcond_not_negative_raises_before_the_linear_fit(self):
+        # 1 + t is linear, but kcond = 1/(1 + t)^2 > 0: no family, not c2 = -1
+        with pytest.raises(ArithmeticError, match=r"^base metric degenerate at x=0\.0 "):
+            classify_profile(parse_profile("1 + t", 1.0, 2))
 
     @pytest.mark.parametrize("source", ["t - 1", "-1 - t", "-exp(-t)"])
     def test_f0_not_positive_raises(self, source):

@@ -186,6 +186,9 @@ def reference_classify(source, profile, grid=64):
     f0, f1_0 = fs[0], rows["f1"][0]
     if not 0.0 < f0 < math.inf:
         raise ArithmeticError(f"f(0) = {f0}; classification needs it positive and finite")
+    # raises at the first point with kcond >= 0, before any family is fitted
+    curvatures = [reference_base_curvature(t, *k) for t, *k in
+                  zip(ts, rows["kcond"], rows["kcond1"], rows["kcond2"])]
     residual_scale = 0.0
     residual_max = 0.0
     for t, f, f1, f2, f3 in zip(ts, fs, rows["f1"], rows["f2"], rows["f3"]):
@@ -200,8 +203,6 @@ def reference_classify(source, profile, grid=64):
         fit = reference_fit(fs, lambda t: c1 - c2 * t, ts)
         if fit < FIT_TOL:
             return ClassificationResult(FAMILY_HYPERBOLIC, {"c1": c1, "c2": c2}, fit, None)
-    curvatures = [reference_base_curvature(t, *k) for t, *k in
-                  zip(ts, rows["kcond"], rows["kcond1"], rows["kcond2"])]
     k_mean = sum(curvatures) / len(curvatures)
     spread = max(abs(k - k_mean) for k in curvatures)
     if max(abs(k) for k in curvatures) < CONSTANCY_TOL:

@@ -134,6 +134,30 @@ class TestHermitianMetric:
                 assert h[0, 0].real > 0
                 assert np.linalg.det(h).real > 0
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_equals_the_entrywise_formula_exactly(self, battery, rng, n):
+        # the docstring's formulas entry by entry in Python complex arithmetic,
+        # which rounds each product on its own, as the real-part blocks do
+        for family in battery:
+            p = parse_profile(family.profile.source, family.profile.b, n)
+            for sp in random_slice_points(family, 10, rng):
+                w = rng.normal(size=2 * n - 1)
+                z0 = sp.u * complex(math.cos(w[0]), math.sin(w[0]))
+                z = w[1:n] + 1j * w[n:]
+                z = tuple(complex(x) for x in z * (abs(sp.v) / np.linalg.norm(z)))
+                x, gap = abs(z0) ** 2, p.f(abs(z0) ** 2) - sum(abs(c) ** 2 for c in z)
+                f1, f2, gap2 = p.f1(x), p.f2(x), gap * gap
+                expected = np.empty((n, n), dtype=complex)
+                expected[0, 0] = -(f1 + x * f2) / gap + f1 * f1 * x / gap2
+                for j, zj in enumerate(z, start=1):
+                    expected[0, j] = -f1 * z0.conjugate() * zj / gap2
+                    expected[j, 0] = expected[0, j].conjugate()
+                    for i, zi in enumerate(z, start=1):
+                        expected[i, j] = (1.0 if i == j else 0.0) / gap + zi.conjugate() * zj / gap2
+                h = hermitian_metric(p, DomainPoint(z0, z))
+                assert np.array_equal(h, expected)
+                assert np.array_equal(h, h.conj().T)
+
     def test_positive_definite_three_dimensional(self, rng):
         p = parse_profile("1.5*exp(-0.8*t)", math.inf, 3)
         for _ in range(100):
