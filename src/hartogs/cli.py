@@ -42,10 +42,10 @@ EXIT_INCONCLUSIVE = 3
 def _cast(kind, value, name: str):
     """value as kind; null, or a value of the wrong shape, is an input error.
 
-    A str takes only a string, a bool only true or false; an int or a float
-    takes a number or a string that parses as one, but not a bool, and an
-    int takes no number with a fraction."""
-    if kind in (str, bool):
+    A str takes only a string; an int or a float takes a number or a string
+    that parses as one, but not a bool, and an int takes no number with a
+    fraction."""
+    if kind is str:
         ok = isinstance(value, kind)
     else:
         ok = value is not None and not isinstance(value, bool)
@@ -112,15 +112,16 @@ def _write_output(config: dict, json_text: str, rows):
 # Commands: each takes the profile, the config and the command's options,
 # and returns (payload, exit code, CSV rows or None)
 
-def _cmd_validate(profile: Profile, config: dict, grid, t_max, allow_increasing):
-    report = validate(profile, grid_size=grid, t_max=t_max,
-                      enforce_monotone=not allow_increasing)
+def _cmd_validate(profile: Profile, config: dict, grid, t_max):
+    report = validate(profile, grid_size=grid, t_max=t_max)
     return asdict(report), (EXIT_OK if report.valid else EXIT_BREACH), None
 
 
-def _cmd_curvature(profile: Profile, config: dict, points, u_max):
+def _cmd_curvature(profile: Profile, config: dict, points, u_max, tol):
     if points < 1:
         raise ValueError("points must be at least 1")
+    if not tol > 0:  # nan too
+        raise ValueError("tolerance must be positive")
     if u_max is None:
         u_max = 0.95 * math.sqrt(profile.b) if math.isfinite(profile.b) else 2.0
     # the window may reach the rim, sqrt(b), but neither pass it nor be infinite
@@ -138,30 +139,36 @@ def _cmd_curvature(profile: Profile, config: dict, points, u_max):
     payload = {
         "target": -0.5,
         "max_deviation_from_minus_half": worst,
-        "tolerance": config["tol"],
+        "tolerance": tol,
         "samples": [{"u": u, "v": v, "K": k} for u, v, k in rows],
         "u_max": u_max,
     }
     if math.isnan(worst):
         code = EXIT_INCONCLUSIVE
     else:
-        code = EXIT_OK if worst < config["tol"] else EXIT_BREACH
+        code = EXIT_OK if worst < tol else EXIT_BREACH
     return payload, code, rows
 
 
 def _cmd_geodesic(profile: Profile, config: dict, direction, length, start, guard):
-    components = [complex(part.strip()) for part in direction.split(",")]
+    try:
+        components = [complex(part.strip()) for part in direction.split(",")]
+    except ValueError:
+        raise ValueError(f"--dir takes comma-separated numbers, got {direction!r}") from None
     reduction = None
     if len(components) == 2 and all(w.imag == 0.0 for w in components):
         slice_dir = [w.real for w in components]
     else:
         if len(components) != profile.n:
             raise ValueError(
-                f"direction has {len(components)} components, expected 2 real "
+                f"--dir has {len(components)} components, expected 2 real "
                 f"or {profile.n} complex"
             )
         slice_dir, reduction = reduce_to_slice(components)
-    start_u, start_v = (float(x.strip()) for x in start.split(","))
+    try:  # a part that is no number, or not two parts
+        start_u, start_v = (float(x.strip()) for x in start.split(","))
+    except ValueError:
+        raise ValueError(f"--start takes two numbers u,v, got {start!r}") from None
     trace = integrate_geodesic(profile, SlicePoint(start_u, start_v), slice_dir, length)
     # screened in the chord's chart, which float64 does not collapse near the rim
     chart = replace(trace, points=trace.chart)
@@ -211,17 +218,16 @@ def _cmd_classify(profile: Profile, config: dict, grid):
     return payload, code, None
 
 
-# Every flag, name -> (flag, type, default, help): the shared ones here,
-# each command's own with its runner in _COMMANDS.  A bool option is a bare
-# flag that sets True.  Every value given reaches the runner cast through
-# its type; null is only the value of a flag whose default is null, and
-# the expression and the bound, whose default is null, must be given.
+# Every flag, name -> (flag, type, default, help): the ones every command
+# reads here, each command's own with its runner in _COMMANDS.  Every flag
+# takes a value, cast through its type; null is only the value of a flag
+# whose default is null, and the expression and the bound, whose default is
+# null, must be given.
 _SHARED = {
     "expression": ("--F", str, None, "profile expression in t"),
     "b": ("--b", float, None, "domain bound (positive real or 'inf')"),
     "n": ("--n", int, 2, "complex dimension"),
     "seed": ("--seed", int, 0, "RNG seed"),
-    "tol": ("--tol", float, 1e-6, "pass/fail tolerance (positive)"),
     "out": ("--out", str, None, "output file path"),
     "format": ("--format", str, "json", "output file format: json, or csv"),
 }
@@ -230,11 +236,11 @@ _COMMANDS = {
     "validate": (_cmd_validate, {
         "grid": ("--grid", int, DEFAULT_GRID_SIZE, "validation grid size"),
         "t_max": ("--t-max", float, DEFAULT_T_MAX, "sampling cap when b is infinite"),
-        "allow_increasing": ("--allow-increasing", bool, False, "do not require f' <= 0"),
     }),
     "curvature": (_cmd_curvature, {
         "points": ("--points", int, 100, "number of sample points"),
         "u_max": ("--u-max", float, None, "sampling window for u"),
+        "tol": ("--tol", float, 1e-6, "pass/fail tolerance on |K + 1/2| (positive)"),
     }),
     "geodesic": (_cmd_geodesic, {
         "direction": ("--dir", str, "1,0",
@@ -265,11 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", help="JSON config file; flags win on conflict")
         for dest, (flag, kind, default, text) in (_SHARED | options).items():
-            if kind is bool:
-                cmd.add_argument(flag, dest=dest, action="store_const", const=True, help=text)
-            else:
-                text = text if default is None else f"{text} (default {default})"
-                cmd.add_argument(flag, dest=dest, type=kind, help=text)
+            text = text if default is None else f"{text} (default {default})"
+            cmd.add_argument(flag, dest=dest, type=kind, help=text)
     return parser
 
 
@@ -301,8 +304,6 @@ def _merge_config(args: argparse.Namespace) -> dict:
         raise ValueError("profile expression is required (--F or config file)")
     if merged["b"] is None:
         raise ValueError("domain bound is required (--b or config file)")
-    if not merged["tol"] > 0:  # nan too
-        raise ValueError("tolerance must be positive")
     if merged["format"] not in ("json", "csv"):
         raise ValueError(f"format must be json or csv, got {merged['format']!r}")
     if merged["format"] == "csv" and merged["out"] is not None and command not in _CSV_HEADERS:

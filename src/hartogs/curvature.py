@@ -13,9 +13,9 @@ whichever runs second walks nothing.  The classifier: flat base <->
 c*exp(-k t), constant K0 != 0 <-> (c1 + c2 t)^(-2/K0), and the vanishing of
 the straight-line residual singles out the linear profiles of the
 complex-hyperbolic case.  As (z0, z) -> (z0, mu*z) maps D_F onto
-D_(mu^2 F) isometrically, both reports test g = f/f(0), and raise
-ArithmeticError unless 0 < f(0) < inf, and map what they report back to f:
-c and c1 - c2*t scale with f(0), (c1 + c2*t)^p with f(0)^(1/p).
+D_(mu^2 F) isometrically, both reports test g = f/f(0), raise
+ArithmeticError unless 0 < f(0) < inf and kcond < 0 on the grid, and map
+back to f: c and c1 - c2*t scale with f(0), (c1 + c2*t)^p with f(0)^(1/p).
 """
 
 from __future__ import annotations
@@ -100,10 +100,12 @@ def monge_ampere_J(profile: Profile, x: float) -> float:
     """The determinant invariant -f(x)^2 * kcond(x); positive on valid profiles.
 
     Constant in x exactly for the linear profiles, where the metric is
-    Einstein.
+    Einstein.  Raises ArithmeticError where kcond(x) is not negative.
     """
     _check_range(profile, x)
     f, k = profile.values(x, "f", "kcond")
+    if k >= 0.0:
+        raise ArithmeticError(f"base metric degenerate at x={x} (density {-2.0 * k})")
     return -f * f * k
 
 
@@ -118,14 +120,17 @@ def _report_grid(profile: Profile, grid: int, *names: str):
     """(ts, values at 0, values): the named values on the reports'
     Chebyshev grid, ts[0] = 0, read off the profile's report jet, with
     f..f3 divided by f(0) in the last.  The first name is "f"; raises
-    ArithmeticError unless 0 < f(0) < inf.  Called under
-    np.errstate(all="ignore")."""
+    ArithmeticError unless 0 < f(0) < inf, then where kcond >= 0 on the
+    grid.  Called under np.errstate(all="ignore")."""
     ts, rows = profile.report_jet(grid)
     values = [rows[name] for name in names]
     at_0 = [x.item(0) for x in values]
     f0 = at_0[0]
     if not 0.0 < f0 < math.inf:  # else g is -f, or nan
         raise ArithmeticError(f"f(0) = {f0}; the reports need it positive and finite")
+    bad = np.flatnonzero(rows["kcond"] >= 0.0)
+    if bad.size:  # raise what gauss_curvature_base raises at the first bad point
+        gauss_curvature_base(profile, float(ts[bad[0]]))
     return ts, at_0, [x / f0 if name[0] == "f" else x for name, x in zip(names, values)]
 
 
@@ -161,20 +166,15 @@ def _relative_fit_residual(f: np.ndarray, fitted: np.ndarray) -> float:
 def classify_profile(profile: Profile, grid: int = REPORT_GRID) -> ClassificationResult:
     """Decide which family the profile belongs to.
 
-    A grid point where kcond is not negative raises ArithmeticError first,
-    whichever family the values would fit.  Then order matters: linear
-    profiles also have constant base curvature, so the straight-line
-    residual test runs first; a flat base then identifies
-    the exponential family, a nonzero constant base curvature the power
-    families, anything else is generic.  A candidate family is only
-    accepted when the reconstructed profile matches on the grid.
+    Order matters: linear profiles also have constant base curvature, so
+    the straight-line residual test runs first; a flat base then
+    identifies the exponential family, a nonzero constant base curvature
+    the power families, anything else is generic.  A candidate family is
+    only accepted when the reconstructed profile matches on the grid.
     """
     with np.errstate(all="ignore"):  # inf and nan pass on, as in float arithmetic
         ts, (f0, f1_0, *_), (g, g1, g2, g3, k_grid, *k_derivatives) = _report_grid(
             profile, grid, "f", "f1", "f2", "f3", "kcond", "kcond1", "kcond2")
-        bad = np.flatnonzero(k_grid >= 0.0)
-        if bad.size:  # raise what gauss_curvature_base raises at the first bad point
-            gauss_curvature_base(profile, float(ts[bad[0]]))
         g1_0 = g1.item(0)  # ts[0] = 0, where g = 1
         residual_max = _max(np.abs(residual_terms(ts, g, g1, g2, g3)))
         tt, abs_g2, abs_g3 = ts * ts, np.abs(g2), np.abs(g3)

@@ -386,7 +386,6 @@ class ValidationReport:
     monotonicity_violations: tuple[float, ...]
     pseudoconvexity_violations: tuple[float, ...]
     evaluation_failures: tuple[tuple[float, str], ...]
-    monotonicity_enforced: bool
 
     def violation_summary(self) -> dict[str, int]:
         return {
@@ -402,16 +401,16 @@ def validate(
     grid_size: int = DEFAULT_GRID_SIZE,
     *,
     t_max: float = DEFAULT_T_MAX,
-    enforce_monotone: bool = True,
 ) -> ValidationReport:
     """Sample-based certification of a profile on a Chebyshev grid.
 
-    Checks f > 0, f1 <= 0 (optional, see ``enforce_monotone``), and the
-    pseudoconvexity condition kcond < 0 at every grid point, from one jet
-    of the grid: f > 0 is log f > -inf, which holds where f underflows, and
-    f1 <= 0 is L = f1/f <= 0 where f > 0 and L >= 0 where f < 0.  A grid
-    can only certify at its samples; the report says exactly which points
-    fail.  t_max must be positive and finite.
+    Checks f > 0, f1 <= 0 and the pseudoconvexity condition kcond < 0 at
+    every grid point, from one jet of the grid: f > 0 is log f > -inf,
+    which holds where f underflows, and f1 <= 0 is L = f1/f <= 0 where
+    f > 0 and L >= 0 where f < 0.  As t*L starts at 0, kcond = (t*L)' < 0
+    forces f1 < 0, and a rise may outlast a breach of kcond too narrow for
+    the grid.  A grid can only certify at its samples; the report says
+    exactly which points fail.  t_max must be positive and finite.
     """
     if not 0.0 < t_max < math.inf:
         raise ValueError("t_max must be positive and finite")
@@ -426,7 +425,7 @@ def validate(
     positivity = tuple(ts[ok & ~positive].tolist())
     # f1 = f * L > 0, at every point where L is finite, whatever the sign of f
     rising = ok & (np.where(np.isnan(log_f), -log_d, log_d) > 0.0)
-    monotonicity = tuple(ts[rising].tolist()) if enforce_monotone else ()
+    monotonicity = tuple(ts[rising].tolist())
     pseudoconvexity = tuple(ts[ok & (k >= 0.0)].tolist())
     valid = not (positivity or monotonicity or pseudoconvexity or failures)
     return ValidationReport(
@@ -437,5 +436,4 @@ def validate(
         monotonicity_violations=monotonicity,
         pseudoconvexity_violations=pseudoconvexity,
         evaluation_failures=failures,
-        monotonicity_enforced=enforce_monotone,
     )

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from dataclasses import fields
@@ -12,7 +14,9 @@ import numpy as np
 import pytest
 
 import hartogs
-from hartogs.cli import _COMMANDS, _SHARED, EXIT_BREACH, EXIT_INCONCLUSIVE, EXIT_INPUT, EXIT_OK, main
+from hartogs.cli import (
+    _COMMANDS, _CSV_HEADERS, _SHARED, EXIT_BREACH, EXIT_INCONCLUSIVE, EXIT_INPUT, EXIT_OK, main,
+)
 from hartogs.curvature import ClassificationResult, EinsteinReport
 from hartogs.hyperbolic import CompletenessReport
 from hartogs.profile import ValidationReport
@@ -43,6 +47,19 @@ class TestValidateCommand:
         assert code == EXIT_BREACH
         assert report["report"]["valid"] is False
         assert len(report["report"]["monotonicity_violations"]) > 0
+
+    def test_rise_past_a_narrow_kcond_breach_is_invalid(self, capsys):
+        # kcond(25) = 1.5e5 > 0 on a bump too narrow for the grid; the rise it
+        # leaves on t in [25.04, 30.45] is what the monotonicity check sees
+        expression = ("exp(-t + 15*(1 - exp(-0.2*(t - 25)))"
+                      "*(1 + (2000*(t - 25))/(1 + (2000*(t - 25))^2)^0.5)/2)")
+        code, report = run_json(capsys, "validate", "--F", expression, "--b", "inf")
+        assert code == EXIT_BREACH
+        assert report["report"]["valid"] is False
+        assert report["report"]["pseudoconvexity_violations"] == []
+        violations = report["report"]["monotonicity_violations"]
+        assert len(violations) == 72
+        assert 25.0 < violations[0] < violations[-1] < 30.5
 
     def test_parse_error(self, capsys):
         code, report = run_json(capsys, "validate", "--F", "1 -", "--b", "1")
@@ -171,12 +188,24 @@ class TestGeodesicCommand:
         assert reduction is not None
         assert reduction["theta"] == pytest.approx(-math.pi / 2)
 
+    @pytest.mark.parametrize("flag, value", [("--start", "1,2,3"), ("--start", "1"),
+                                             ("--start", "0,x"), ("--dir", "1,x"),
+                                             ("--dir", "1,")])
+    def test_misshapen_point_or_direction_names_its_flag(self, capsys, flag, value):
+        # in place of "too many values to unpack" or "complex() arg is a malformed string"
+        code = main(["geodesic", "--F", "1 - t", "--b", "1", f"{flag}={value}"])
+        assert code == EXIT_INPUT
+        shape = "two numbers u,v" if flag == "--start" else "comma-separated numbers"
+        assert capsys.readouterr().err == f"error: {flag} takes {shape}, got {value!r}\n"
+
     def test_dimension_mismatch_rejected(self, capsys):
         code = main(
             ["geodesic", "--F", "exp(-t)", "--b", "inf", "--n", "3",
              "--dir", "1j,0.5", "--length", "1"]
         )
         assert code == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: --dir has 2 components, expected 2 real or 3 complex\n")
 
     @pytest.mark.parametrize("length", ["25", "30", "60"])
     @pytest.mark.parametrize("direction", ["0.6,0.8", "0,1", "-0.3,1", "1,0"])
@@ -456,8 +485,11 @@ class TestOptionChecks:
             errors.add(capsys.readouterr().err)
         assert errors == {"error: grid size must be at least 2\n"}
 
-    @pytest.mark.parametrize("command, key", [("geodesic", "lenght"), ("validate", "dir"),
-                                              ("completeness", "grid")])
+    @pytest.mark.parametrize("command, key", [
+        ("geodesic", "lenght"), ("validate", "dir"), ("completeness", "grid"),
+        ("validate", "allow_increasing"), ("validate", "allow-increasing"),
+        *((command, "tol") for command in sorted(_COMMANDS) if command != "curvature"),
+    ])
     def test_config_key_that_is_no_flag_of_the_command_is_named(self, capsys, tmp_path,
                                                                 command, key):
         config = tmp_path / "run.json"
@@ -470,8 +502,6 @@ class TestOptionChecks:
         ("curvature", "points", 2.7, "int"),  # not 2
         ("curvature", "points", "2.7", "int"),
         ("curvature", "b", True, "float"),  # not 1.0
-        ("validate", "allow_increasing", "false", "bool"),  # bool("false") is True
-        ("validate", "allow_increasing", 0, "bool"),
     ])
     def test_config_value_of_another_type_is_input_error(self, capsys, tmp_path, command, key,
                                                          value, kind):
@@ -514,6 +544,18 @@ class TestOptionChecks:
                      "--length", length])
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("argv", [("validate", "--allow-increasing"),
+                                      ("einstein", "--tol", "1"), ("geodesic", "--tol", "1")],
+                             ids=lambda argv: "".join(argv[:2]))
+    def test_removed_flag_is_input_error(self, capsys, argv):
+        # a rising profile is never pseudoconvex, and only curvature reads a tolerance
+        with pytest.raises(SystemExit) as exited:
+            main([*argv, "--F", "1 - t", "--b", "1"])
+        assert exited.value.code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: unrecognized arguments: {' '.join(argv[1:])}" in captured.err
+
     @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
     def test_tol_must_be_positive(self, capsys, tol):
         # a nan tolerance would fail every deviation, and read as a breach
@@ -545,6 +587,46 @@ class TestOptionChecks:
         code = main(["einstein", "--F", "exp(-t)", "--b", "inf", "--grid", "64"])
         assert code == EXIT_INPUT
         assert capsys.readouterr().err == "error: cannot allocate a grid of 64 points\n"
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def _readme_commands() -> list[tuple[list[str], str | None]]:
+    """(argv, CSV columns its comment names, or None) of each hartogs
+    command in README's sh blocks, continuation lines joined."""
+    blocks = re.findall(r"```sh\n(.*?)```", README, flags=re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = []
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        if argv[:1] == ["hartogs"]:
+            columns = re.search(r"# CSV columns: (\S+)", line)
+            commands.append((argv[1:], columns and columns.group(1)))
+    return commands
+
+
+README_COMMANDS = _readme_commands()
+
+
+@pytest.mark.parametrize("argv, columns", README_COMMANDS,
+                         ids=[argv[0] for argv, _ in README_COMMANDS])
+def test_readme_command_runs(capsys, tmp_path, monkeypatch, argv, columns):
+    # a flag the CLI drops fails here before it rots the docs
+    monkeypatch.chdir(tmp_path)
+    code, report = run_json(capsys, *argv)
+    assert code == EXIT_OK, argv
+    assert report["command"] == argv[0]
+    if "--out" in argv:
+        out = tmp_path / argv[argv.index("--out") + 1]
+        assert out.read_text().splitlines()[0] == columns == ",".join(_CSV_HEADERS[argv[0]])
+
+
+def test_readme_names_every_command_and_flag():
+    assert {argv[0] for argv, _ in README_COMMANDS} == set(_COMMANDS)
+    tables = [_SHARED, *(options for _, options in _COMMANDS.values())]
+    flags = [flag for table in tables for flag, *_ in table.values()]
+    assert [flag for flag in flags if f"`{flag}`" not in README] == []
 
 
 def _child_env() -> dict:
@@ -586,9 +668,9 @@ def test_huge_integral_power_ends(expression):
 OPTION_VALUES = {
     "grid": 32,
     "t_max": 20.0,
-    "allow_increasing": True,
     "points": 5,
     "u_max": 0.5,
+    "tol": 1e-4,
     "direction": "1,0.5",
     "length": 1.5,
     "start": "0.1,0.1",
@@ -602,9 +684,7 @@ class TestCommandTable:
         options = _COMMANDS[command][1]
         given = {name: OPTION_VALUES[name] for name in options}
         defaults = {name: default for name, (_, _, default, _) in options.items()}
-        flags = []
-        for name, (flag, kind, _, _) in options.items():
-            flags += [flag] if kind is bool else [flag, str(given[name])]
+        flags = [arg for name, (flag, *_) in options.items() for arg in (flag, str(given[name]))]
         config = tmp_path / "run.json"
         config.write_text(
             json.dumps({flag.lstrip("-"): given[name] for name, (flag, *_) in options.items()})
@@ -620,7 +700,7 @@ class TestCommandTable:
             assert report["config"]["options"] == expected
 
     def test_every_shared_flag_is_accepted(self, capsys, tmp_path):
-        given = {"expression": "1 - t", "b": 0.5, "n": 3, "seed": 7, "tol": 0.001,
+        given = {"expression": "1 - t", "b": 0.5, "n": 3, "seed": 7,
                  "out": str(tmp_path / "x.json"), "format": "json"}
         assert set(given) == set(_SHARED)
         flags = [arg for name, (flag, *_) in _SHARED.items() for arg in (flag, str(given[name]))]

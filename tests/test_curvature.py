@@ -190,6 +190,13 @@ class TestMongeAmpere:
                 expected = -p.f(x) ** 2 * laplacian / 4.0
                 assert monge_ampere_J(p, x) == pytest.approx(expected, rel=1e-5, abs=1e-8)
 
+    @pytest.mark.parametrize("source, b, x", [("1 + t", 1.0, 0.5),
+                                              ("exp(-t) + exp(-10)", math.inf, 20.0)])
+    def test_kcond_not_negative_raises(self, source, b, x):
+        # -f^2 * kcond would come out negative, where there is no metric
+        with pytest.raises(ArithmeticError, match=rf"^base metric degenerate at x={x} "):
+            monge_ampere_J(parse_profile(source, b, 2), x)
+
 
 class TestEinstein:
     def test_linear_einstein(self):
@@ -209,6 +216,17 @@ class TestEinstein:
     def test_reports_need_f0_positive_and_finite(self, report, source, f0):
         with pytest.raises(ArithmeticError, match=rf"^f\(0\) = {f0}; "):
             report(parse_profile(source, 1.0, 2))
+
+    @pytest.mark.parametrize("source, b", [("1 + t", 1.0), ("exp(-t) + exp(-10)", math.inf)])
+    def test_kcond_not_negative_raises(self, source, b):
+        # J = -1 on the whole grid of 1 + t, constant, but there is no metric;
+        # both reports raise what gauss_curvature_base raises at the first point
+        messages = set()
+        for report in (einstein_check, classify_profile):
+            with pytest.raises(ArithmeticError, match=r"^base metric degenerate at x=") as raised:
+                report(parse_profile(source, b, 2))
+            messages.add(str(raised.value))
+        assert len(messages) == 1
 
     def test_equivalent_to_hyperbolic_classification(self, battery):
         profiles = [f.profile for f in battery]

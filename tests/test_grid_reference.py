@@ -123,7 +123,7 @@ def _failure(source: str, values: dict, names) -> str | None:
     return REASONS.get(source, "non-finite value")
 
 
-def reference_validate(source, profile, grid_size=1024, t_max=50.0, enforce_monotone=True):
+def reference_validate(source, profile, grid_size=1024, t_max=50.0):
     upper = profile.grid_limit(t_max)
     ts = chebyshev_grid(upper, grid_size)
     positivity, monotonicity, pseudoconvexity, failures = [], [], [], []
@@ -135,13 +135,13 @@ def reference_validate(source, profile, grid_size=1024, t_max=50.0, enforce_mono
             continue
         if values["f"] <= 0.0:
             positivity.append(t)
-        if enforce_monotone and values["f1"] > 0.0:
+        if values["f1"] > 0.0:
             monotonicity.append(t)
         if values["kcond"] >= 0.0:
             pseudoconvexity.append(t)
     valid = not (positivity or monotonicity or pseudoconvexity or failures)
     return ValidationReport(valid, grid_size, upper, tuple(positivity), tuple(monotonicity),
-                            tuple(pseudoconvexity), tuple(failures), enforce_monotone)
+                            tuple(pseudoconvexity), tuple(failures))
 
 
 def _grid_values(source, profile, names, grid=64):
@@ -156,9 +156,12 @@ def _grid_values(source, profile, names, grid=64):
 
 
 def reference_einstein(source, profile, grid=64):
-    _, rows = _grid_values(source, profile, ("f", "kcond"), grid)
+    ts, rows = _grid_values(source, profile, ("f", "kcond"), grid)
     if not 0.0 < rows["f"][0] < math.inf:
         raise ArithmeticError(f"f(0) = {rows['f'][0]}; the reports need it positive and finite")
+    for t, k in zip(ts, rows["kcond"]):  # as reference_classify, before any value
+        if k >= 0.0:
+            raise ArithmeticError(f"base metric degenerate at x={t} (density {-2.0 * k})")
     values = [-f * f * k for f, k in zip(rows["f"], rows["kcond"])]
     mean = sum(values) / len(values)
     variation = max(abs(v - mean) for v in values) / abs(mean)

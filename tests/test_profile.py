@@ -168,12 +168,6 @@ class TestValidate:
         assert not report.valid
         assert 0.0 in report.pseudoconvexity_violations
 
-    def test_monotonicity_flag(self):
-        report = validate(parse_profile("1 + t", 1, 2), enforce_monotone=False)
-        assert report.monotonicity_violations == ()
-        assert not report.valid  # pseudoconvexity still fails
-        assert not report.monotonicity_enforced
-
     def test_evaluation_failures_reported(self):
         report = validate(parse_profile("log(2 - t)", 4, 2), grid_size=64)
         assert not report.valid
