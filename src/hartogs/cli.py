@@ -169,6 +169,12 @@ def _cmd_geodesic(profile: Profile, config: dict, direction, length, start, guar
         start_u, start_v = (float(x.strip()) for x in start.split(","))
     except ValueError:
         raise ValueError(f"--start takes two numbers u,v, got {start!r}") from None
+    in_slice = [start_u, start_v] + [0.0] * (profile.n - 2)
+    if reduction is not None and not np.array_equal(reduction.lift_point(start_u, start_v), in_slice):
+        # a geodesic from such a start need not lie in any slice
+        raise ValueError(f"--dir {direction!r} is rotated onto the slice by a rotation that "
+                         f"moves --start {start!r}; a full-domain --dir is taken only where its "
+                         "rotation leaves the start, as at the origin")
     trace = integrate_geodesic(profile, SlicePoint(start_u, start_v), slice_dir, length)
     # screened in the chord's chart, which float64 does not collapse near the rim
     chart = replace(trace, points=trace.chart)

@@ -45,17 +45,16 @@ class ChristoffelSlice:
 
 
 def _christoffel_closed_terms(t: float, u: float, v: float, f, f1, f2, f3):
-    """(det, G111, G211, G112, G212, G222) at (u, v) from f..f3 at t = u^2.
+    """(G111, G211, G112, G212, G222) at (u, v) from f..f3 at t = u^2, for
+    a point inside the slice (f - v^2 > 0).
 
-    Total: a degenerate point gives det = 0 and nan symbols instead of an
-    exception.  Only the RK45 oracle of the tests relies on that: its
-    right-hand side probes trial steps just past the boundary, which step
-    control rejects.
+    Raises DegenerateMetricError where the determinant is not positive.
     """
     w = f - v * v
     core = -t * f1 * f1 + f * (f1 + t * f2)  # f^2 kcond, and det * w^3 = -4 core
-    if core == 0.0 or w == 0.0:
-        return (0.0,) + (math.nan,) * 5
+    det = -4.0 * core / w / w / w
+    if not det > 0.0:
+        raise DegenerateMetricError(f"metric degenerate at (u, v)=({u}, {v}), det={det}")
     # The first bracket term carries a factor f1; dropping it breaks the
     # cross-validation against christoffel_generic.
     g111 = (u / w / core) * (
@@ -64,18 +63,13 @@ def _christoffel_closed_terms(t: float, u: float, v: float, f, f1, f2, f3):
         - f * f1 * (2.0 * f1 + 3.0 * t * f2)
     )
     g211 = (t * v / core) * (-t * f2 * f2 + f1 * (f2 + t * f3))
-    g112 = v / w
-    g212 = -u * f1 / w
-    g222 = 2.0 * v / w
-    return -4.0 * core / w / w / w, g111, g211, g112, g212, g222
+    return g111, g211, v / w, -u * f1 / w, 2.0 * v / w
 
 
 def christoffel_closed(profile: Profile, sp: SlicePoint) -> ChristoffelSlice:
     """Closed-form Christoffel symbols of the slice metric at (u, v)."""
     _, values = slice_values(profile, sp, "f1", "f2", "f3")
-    det, g111, g211, g112, g212, g222 = _christoffel_closed_terms(sp.u * sp.u, sp.u, sp.v, *values)
-    if not det > 0.0:
-        raise DegenerateMetricError(f"metric degenerate at (u, v)=({sp.u}, {sp.v}), det={det}")
+    g111, g211, g112, g212, g222 = _christoffel_closed_terms(sp.u * sp.u, sp.u, sp.v, *values)
     return ChristoffelSlice(g111, g211, g112, g212, 0.0, g222)
 
 
@@ -427,14 +421,28 @@ def self_intersection_check(
 ) -> SelfIntersectionReport:
     """Screen a polyline trace for self-intersections.
 
-    Computes the minimum distance between every pair of non-adjacent
-    segments (index gap larger than SCREEN_WINDOW) and passes when each pair
-    stays farther apart than guard times the local sample spacing.
+    The margin of a pair of non-adjacent segments (index gap larger than
+    SCREEN_WINDOW) is their minimum distance less guard times the local
+    sample spacing, the length of the shorter of the two.  The screen
+    passes when every margin is positive, and reports the pair of least
+    margin, the first in (i, j) order among equals.
 
-    Exact segment distances are computed only for the pairs that can hold
-    the worst margin.  A pair's distance lies between |m_i - m_j| - (l_i +
-    l_j)/2 and |m_i - m_j| (m the midpoints, l the lengths), so its margin
-    lies between the bounds LB and UB below; the worst pair has LB <= min UB.
+    Exact distances are computed only for the pairs whose bounds overlap,
+    found by a sort and sweep in O(N log N) plus the pairs found.  With m
+    the segment midpoints and l their lengths, a pair's distance lies
+    between |m_i - m_j| - (l_i + l_j)/2 and |m_i - m_j|.  So the least of
+    |m_i - m_j| - guard*min(l_i, l_j) over the pairs at index gap
+    SCREEN_WINDOW + 1, plus a slack for rounding, is a bound B on the worst
+    margin, and a pair can hold it only if
+
+        |m_i - m_j| <= B + (1 + guard)/2 * (l_i + l_j),
+
+    that is, only if the intervals m_i +- (B/2 + (1 + guard)/2 * l_i) on
+    either midpoint axis overlap.  The sweep takes the axis of larger
+    spread and keeps every pair whose intervals overlap there, so the
+    worst pair and every pair that ties with it are kept, and the report
+    equals that of the screen over all pairs.  A point that is not finite
+    makes B and every interval nan, and then every pair is kept.
     """
     if len(trace) < 4:
         raise ValueError("trace needs at least 4 samples for the screen")
@@ -445,21 +453,33 @@ def self_intersection_check(
     seg_b = pts[1:]
     seg_len = np.linalg.norm(seg_b - seg_a, axis=1)
     n_seg = len(seg_a)
-    idx_i, idx_j = np.triu_indices(n_seg, k=SCREEN_WINDOW + 1)
-    if len(idx_i) == 0:
+    gap = SCREEN_WINDOW + 1
+    if n_seg <= gap:
         return SelfIntersectionReport(True, math.inf, (-1, -1), 0.0)
-    mid_u, mid_v = 0.5 * (seg_a + seg_b).T
-    len_i, len_j = seg_len[idx_i], seg_len[idx_j]
+    mid = 0.5 * (seg_a + seg_b)
+    # the slack covers the rounding of the bounds
+    slack = 1e-9 * (1.0 + float(np.max(np.abs(pts))))
+    bound = slack + float(np.min(np.hypot(*(mid[gap:] - mid[:-gap]).T)
+                                 - guard * np.minimum(seg_len[gap:], seg_len[:-gap])))
+    if not math.isfinite(bound):
+        bound = math.nan
+    centre = mid[:, np.argmax(np.ptp(mid, axis=0))]
+    radius = 0.5 * bound + 0.5 * (1.0 + guard) * seg_len
+    lo, hi = centre - radius, centre + radius
+    order = np.argsort(lo)
+    # interval p overlaps those at sorted positions p + 1 .. ends[p] - 1
+    ends = np.searchsorted(lo[order], hi[order], side="right")
+    after = np.arange(1, n_seg + 1)
+    counts = np.maximum(ends - after, 0)
+    q = np.arange(counts.sum()) + np.repeat(after - np.cumsum(counts) + counts, counts)
+    a, b = np.repeat(order, counts), order[q]
+    # in (i, j) order, so that argmin breaks ties as over all pairs
+    idx_i, idx_j = np.divmod(np.sort(np.minimum(a, b) * n_seg + np.maximum(a, b)), n_seg)
+    keep = idx_j - idx_i >= gap
+    idx_i, idx_j = idx_i[keep], idx_j[keep]
     # local sample spacing of a pair: the finer of the two segments, so that
     # a long far-away segment cannot dominate the threshold of a short one
-    spacing = np.minimum(len_i, len_j)
-    upper = np.hypot(mid_u[idx_i] - mid_u[idx_j], mid_v[idx_i] - mid_v[idx_j])
-    upper -= guard * spacing
-    lower = upper - 0.5 * (len_i + len_j)
-    # the slack covers the rounding of the bounds; nan keeps every pair
-    slack = 1e-9 * (1.0 + float(np.max(np.abs(pts))))
-    keep = np.flatnonzero(~(lower > np.min(upper) + slack))
-    idx_i, idx_j, spacing = idx_i[keep], idx_j[keep], spacing[keep]
+    spacing = np.minimum(seg_len[idx_i], seg_len[idx_j])
     dists = _segment_distances(seg_a[idx_i], seg_b[idx_i], seg_a[idx_j], seg_b[idx_j])
     margin = dists - guard * spacing
     worst = int(np.argmin(margin))

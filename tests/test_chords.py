@@ -5,6 +5,7 @@ psi, and the all-pairs self-intersection screen."""
 import math
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from hartogs import (
 )
 from hartogs.connection import (
     SCREEN_WINDOW,
+    DegenerateMetricError,
     GeodesicTrace,
     SelfIntersectionReport,
     _christoffel_closed_terms,
@@ -65,8 +67,12 @@ def _rk45_points(profile, start, direction, s):
 
     def rhs(_s, y):
         u, v, du, dv = y
-        _det, g111, g211, g112, g212, g222 = _christoffel_closed_terms(
-            u * u, u, v, *derivatives(u * u))
+        try:
+            g111, g211, g112, g212, g222 = _christoffel_closed_terms(
+                u * u, u, v, *derivatives(u * u))
+        except (DegenerateMetricError, ZeroDivisionError):
+            # a trial step on or past the boundary, which step control rejects
+            return (math.nan,) * 4
         return (
             du,
             dv,
@@ -101,13 +107,15 @@ def _brute_force_screen(trace, guard=0.5):
     )
 
 
+def _polyline(pts):
+    """A trace through the points pts; the screen reads only the points."""
+    return GeodesicTrace(s=np.arange(len(pts), dtype=float), points=pts, tangents=pts,
+                         energies=np.ones(len(pts)), energy=1.0, boundary_hit=False)
+
+
 def _figure_eight():
     t = np.linspace(0.0, 2.0 * math.pi, 81)
-    pts = np.column_stack([0.25 * np.sin(2 * t), 0.5 * np.sin(t)])
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    s = np.concatenate([[0.0], np.cumsum(seg)])
-    return GeodesicTrace(s=s, points=pts, tangents=np.gradient(pts, s, axis=0),
-                         energies=np.ones(len(pts)), energy=1.0, boundary_hit=False)
+    return _polyline(np.column_stack([0.25 * np.sin(2 * t), 0.5 * np.sin(t)]))
 
 
 class TestAgainstRK45:
@@ -452,6 +460,40 @@ class TestPrunedScreen:
         report = self_intersection_check(trace)
         assert not report.passed
         assert report == _brute_force_screen(trace)
+
+    def test_equals_brute_force_on_random_polylines(self):
+        # rounded to integers, points repeat: zero-length segments and ties
+        rng = np.random.default_rng(20261020)
+        for k in range(90):
+            pts = rng.normal(scale=3.0, size=(int(rng.integers(5, 60)), 2))
+            pts = (pts, np.round(pts), np.cumsum(pts, axis=0))[k % 3]
+            trace = _polyline(pts)
+            for guard in (0.0, 0.5, 3.0):
+                assert self_intersection_check(trace, guard) == _brute_force_screen(trace, guard)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_point_that_is_not_finite_reaches_every_pair(self, value):
+        trace = _figure_eight()
+        trace.points[40] = (value, 0.0)
+        with np.errstate(invalid="ignore"):  # inf - inf, in either screen
+            report, expected = self_intersection_check(trace), _brute_force_screen(trace)
+        assert not report.passed and math.isnan(report.min_distance)
+        assert repr(report) == repr(expected)  # nan != nan
+
+    @pytest.mark.parametrize("direction", [(0.0, 1.0), (0.0, -1.0)])
+    def test_equals_brute_force_on_the_v_axis(self, battery, direction):
+        for family in battery:
+            trace = integrate_geodesic(family.profile, SlicePoint(0.0, 0.0), direction, 8.0)
+            assert not np.any(trace.points[:, 0])
+            assert self_intersection_check(trace) == _brute_force_screen(trace)
+
+    def test_equals_brute_force_on_the_cli_chart_screen(self):
+        # the chart screen of `geodesic --F "exp(-t)" --b inf --dir 0.6,0.8 --length 25`
+        trace = integrate_geodesic(parse_profile("exp(-t)", math.inf, 2), SlicePoint(0.0, 0.0),
+                                   (0.6, 0.8), 25.0)
+        chart = replace(trace, points=trace.chart)
+        assert len(chart) == 601
+        assert self_intersection_check(chart) == _brute_force_screen(chart)
 
     def test_negative_guard_rejected(self):
         with pytest.raises(ValueError):

@@ -198,6 +198,28 @@ class TestGeodesicCommand:
         shape = "two numbers u,v" if flag == "--start" else "comma-separated numbers"
         assert capsys.readouterr().err == f"error: {flag} takes {shape}, got {value!r}\n"
 
+    @pytest.mark.parametrize("start, direction", [("0.3,0.2", "0.6+0.3j,0.5j"),
+                                                  ("0.5,0", "-1,1j"), ("0,0.4", "1,0.5j")])
+    def test_complex_direction_that_moves_the_start_is_input_error(self, capsys, start,
+                                                                    direction):
+        # from (0.3, 0.2) along (0.6 + 0.3i, 0.5i) the Kahler geodesic of C^2
+        # ends at |z0| = 0.668424, |z1| = 0.365088, which no slice trace
+        # reaches: the rotation onto the slice would move the start
+        code = main(["geodesic", "--F", "1 - t", "--b", "1", f"--start={start}",
+                     f"--dir={direction}", "--length", "1"])
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --dir {direction!r} is rotated onto the slice")
+        assert f"--start {start!r}" in captured.err
+
+    def test_complex_direction_that_keeps_the_start_runs(self, capsys):
+        # a phase on z1 alone leaves a start on the u-axis where it is
+        code, report = run_json(capsys, "geodesic", "--F", "1 - t", "--b", "1",
+                                "--start", "0.3,0", "--dir", "0.6,0.5j", "--length", "1")
+        assert code == EXIT_OK
+        assert report["report"]["reduction"]["theta"] == 0.0
+
     def test_dimension_mismatch_rejected(self, capsys):
         code = main(
             ["geodesic", "--F", "exp(-t)", "--b", "inf", "--n", "3",

@@ -94,10 +94,12 @@ class TestChristoffel:
             assert ch.G211 == 0.0
 
     def test_degenerate_point_raises(self):
-        # f1(0) = 0 makes the metric degenerate at the origin
+        # f1(0) = 0 makes core = f^2 kcond vanish on the v-axis, which the
+        # closed forms divide by: the error is the metric's, not a division's
         p = parse_profile("1 - t^2", 1, 2)
-        with pytest.raises(DegenerateMetricError):
-            christoffel_closed(p, SlicePoint(0.0, 0.0))
+        for v in (0.0, 0.5, -0.9):
+            with pytest.raises(DegenerateMetricError, match=r"det=-?0\.0$"):
+                christoffel_closed(p, SlicePoint(0.0, v))
 
 
 class TestGeodesics:
